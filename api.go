@@ -13,7 +13,10 @@
 //     a stride prefetcher, and an FR-FCFS DDR3-1600 memory controller —
 //     assembled from internal/cpu, internal/memsys and friends.
 //   - The experiment runners that regenerate every table and figure of
-//     the paper's evaluation — re-exported from internal/bench.
+//     the paper's evaluation — re-exported from internal/bench. Each run
+//     is configured entirely by its Options value; the package has no
+//     process-wide switches, so batches with different options can run
+//     concurrently in one process.
 //
 // See README.md for a tour and examples/ for runnable programs.
 package gsdram
@@ -114,19 +117,16 @@ func NewMachine() (*Machine, error) { return machine.Default() }
 
 // ---- Experiments (paper §5) ----
 
-// Options scales the experiment suite.
+// Options scales the experiment suite and carries a batch's execution
+// knobs: Workers, NoInline (the pure event-driven reference path,
+// gsbench -noinline; results are bit-identical), L2Latency (an ablation
+// override that changes results), Sample and Capture.
 type Options = bench.Options
 
 // DefaultOptions returns the default experiment scale; QuickOptions a
 // reduced scale for smoke tests.
 func DefaultOptions() Options { return bench.DefaultOptions() }
 func QuickOptions() Options   { return bench.QuickOptions() }
-
-// SetNoInline disables (true) the cores' event-horizon fast path for every
-// subsequently started experiment, forcing the pure event-driven execution.
-// Results are bit-identical either way; the switch exists as an escape
-// hatch and for equivalence testing (gsbench -noinline).
-func SetNoInline(v bool) { bench.SetNoInline(v) }
 
 // TelemetryCapture collects telemetry — per-run metrics registries, the
 // epoch time-series, DRAM command and core stall-phase traces — for one

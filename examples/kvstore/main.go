@@ -49,7 +49,9 @@ func main() {
 	fmt.Printf("lookup(%d) = %d (found=%v)\n", keys[3], v, found)
 
 	// Line-fetch comparison on a larger store.
-	r, err := gsdram.RunKVStore(4096, 7)
+	opts := gsdram.DefaultOptions()
+	opts.Seed = 7
+	r, err := gsdram.RunKVStore(4096, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

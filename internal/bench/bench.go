@@ -70,6 +70,18 @@ type Options struct {
 	// Telemetry observes without mutating — results are bit-identical
 	// with capture on or off.
 	Capture *Capture
+	// NoInline disables every core's event-horizon fast path (see
+	// internal/cpu): each op then schedules through the event queue,
+	// exactly reproducing the pure event-driven execution. Results are
+	// bit-identical either way; it backs gsbench -noinline and the
+	// equivalence tests. Sampled runs ignore it.
+	NoInline bool `json:"-"`
+	// L2Latency, when non-zero, overrides the model's L2 hit latency in
+	// CPU cycles on every rig of the batch. It is an ablation knob for
+	// regression forensics: perturbing one latency stage on purpose gives
+	// `gsbench explain` a known-cause delta to attribute. It changes
+	// results.
+	L2Latency uint64 `json:"-"`
 }
 
 // pool returns the worker pool the experiment's runs are submitted to.
@@ -132,21 +144,6 @@ type RunMetrics struct {
 	Energy    energy.Report
 }
 
-// runConfig describes one single-workload simulation.
-type runConfig struct {
-	layout   imdb.Layout
-	tuples   int
-	prefetch bool
-	cores    int
-	// label names the run for telemetry capture (e.g. "fig9/GS-DRAM/
-	// 50-25-25"). Empty disables capture for this rig even when the
-	// batch has a capture context; labels must be unique within a batch.
-	label string
-	// capture is the batch's telemetry sink (Options.Capture); nil
-	// builds an untelemetered rig regardless of label.
-	capture *Capture
-}
-
 // rigTemplates caches one populated machine+DB per (layout, tuples):
 // population is deterministic, so every run with the same key starts from
 // bit-identical state whether it clones the template or rebuilds from
@@ -187,115 +184,130 @@ func templateDB(layout imdb.Layout, tuples int) (*imdb.DB, error) {
 	return tpl.Clone(), nil
 }
 
-// newRig builds a fresh machine + DB + memory system for a run. Every run
-// gets its own state so experiments are independent.
-func newRig(rc runConfig) (*machine.Machine, *imdb.DB, *sim.EventQueue, *memsys.System, error) {
-	db, err := templateDB(rc.layout, rc.tuples)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	mach := db.Machine()
-	q := &sim.EventQueue{}
-	cfg := defaultConfig(rc.cores)
-	cfg.EnablePrefetch = rc.prefetch
-	cfg.Metrics, cfg.Mem.Observer, cfg.Flight = telemetryForRig(rc.capture, rc.label, q)
-	if cfg.Metrics != nil {
-		cfg.LatencyTraceCap = maxLatencyTraces
-	}
-	mem, err := memsys.New(cfg, q)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return mach, db, q, mem, nil
+// rig is one simulated system: an event queue, the memory system on it,
+// the rig's telemetry capture state (nil when untelemetered) and the
+// batch's fast-path switch. Every runner builds its rigs with newRig and
+// drives them with run (or htap), so the batch's knobs reach every core
+// and memory system through this one path. Every run gets its own rig,
+// so experiments are independent.
+type rig struct {
+	q        *sim.EventQueue
+	mem      *memsys.System
+	tel      *rigTelemetry
+	noInline bool
 }
 
-// measure assembles the metrics after a run completes.
-func measure(q *sim.EventQueue, mem *memsys.System, cores []*cpu.Core) RunMetrics {
-	var m RunMetrics
+// newRig builds a rig whose memory system is cfg with the batch's
+// overrides (Options.L2Latency) applied. A non-empty label names the run
+// for telemetry capture (e.g. "fig9/GS-DRAM/50-25-25") and must be
+// unique within the batch; an empty label builds an untelemetered rig
+// even when the batch has a capture context.
+func newRig(opts Options, label string, cfg memsys.Config) (*rig, error) {
+	if opts.L2Latency > 0 {
+		cfg.L2Latency = sim.Cycle(opts.L2Latency)
+	}
+	r := &rig{q: &sim.EventQueue{}, tel: opts.Capture.forRig(label), noInline: opts.NoInline}
+	if t := r.tel; t != nil {
+		cfg.Metrics, cfg.Mem.Observer, cfg.Flight = t.reg, t.rec.Observe, t.flight
+		cfg.LatencyTraceCap = maxLatencyTraces
+	}
+	mem, err := memsys.New(cfg, r.q)
+	if err != nil {
+		return nil, err
+	}
+	r.mem = mem
+	return r, nil
+}
+
+// imdbRig clones the populated (layout, opts.Tuples) table and builds a
+// rig for it (see newRig).
+func imdbRig(opts Options, layout imdb.Layout, label string, cfg memsys.Config) (*imdb.DB, *rig, error) {
+	db, err := templateDB(layout, opts.Tuples)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := newRig(opts, label, cfg)
+	return db, r, err
+}
+
+// run starts one core per stream (core i runs streams[i]) with an
+// sbCap-entry store buffer (0 = blocking stores), runs the rig to
+// completion and measures it.
+func (r *rig) run(sbCap int, streams ...cpu.Stream) RunMetrics {
+	cores := make([]*cpu.Core, len(streams))
+	for i, s := range streams {
+		cores[i] = cpu.NewWithStoreBuffer(i, r.q, r.mem, s, nil, sbCap)
+	}
+	r.exec(cores)
+	m := RunMetrics{Mem: r.mem.Stats(), Ctrl: r.mem.MemStats()}
 	for _, c := range cores {
 		st := c.Stats()
+		if !st.Finished {
+			panic("bench: core did not finish")
+		}
 		m.CoreStats = append(m.CoreStats, st)
 		if rt := uint64(st.FinishCycle); rt > m.Cycles {
 			m.Cycles = rt
 		}
 	}
-	m.Mem = mem.Stats()
-	m.Ctrl = mem.MemStats()
-	l1, l2 := mem.CacheStats()
-	var instrs uint64
-	for _, st := range m.CoreStats {
-		instrs += st.Instructions
+	m.Energy = energy.Estimate(r.activity(cores, sim.Cycle(m.Cycles)), energy.DefaultDRAM(), energy.DefaultCPU())
+	return m
+}
+
+// htap runs Figure 11's hybrid mix on a two-core rig: a one-column
+// analytics scan on core 0 and an unbounded 1-read/1-write transaction
+// stream on core 1, which stops when the scan completes. It returns the
+// scan's completion cycle and the transaction throughput (txns/s).
+func (r *rig) htap(db *imdb.DB, seed uint64) (sim.Cycle, float64, error) {
+	as, err := db.AnalyticsStream([]int{0}, nil)
+	if err != nil {
+		return 0, 0, err
 	}
-	m.Energy = energy.Estimate(energy.Activity{
-		Runtime:      sim.Cycle(m.Cycles),
+	var tr imdb.TxnResult
+	ts, err := db.TransactionStream(imdb.TxnMix{RO: 1, WO: 1}, 0 /* unbounded */, seed, &tr)
+	if err != nil {
+		return 0, 0, err
+	}
+	txn := cpu.New(1, r.q, r.mem, ts, nil)
+	var done sim.Cycle
+	ana := cpu.New(0, r.q, r.mem, as, func(now sim.Cycle) {
+		done = now
+		txn.Stop()
+	})
+	r.exec([]*cpu.Core{ana, txn})
+	return done, float64(tr.Completed) / (float64(done) / 4e9), nil
+}
+
+// exec starts the cores (cores[i] must have core ID i) in ID order at
+// cycle 0, runs the queue dry and hands the finished run to the rig's
+// telemetry.
+func (r *rig) exec(cores []*cpu.Core) {
+	for _, c := range cores {
+		c.SetNoInline(r.noInline)
+		c.Start(0)
+	}
+	r.tel.start(r, cores)
+	r.q.Run()
+	r.tel.finish(r, cores)
+}
+
+// activity is the energy model's input for the rig's cores over the
+// given runtime.
+func (r *rig) activity(cores []*cpu.Core, runtime sim.Cycle) energy.Activity {
+	var instrs uint64
+	for _, c := range cores {
+		instrs += c.Stats().Instructions
+	}
+	l1, l2 := r.mem.CacheStats()
+	return energy.Activity{
+		Runtime:      runtime,
 		FreqGHz:      4,
 		Cores:        len(cores),
 		Instructions: instrs,
 		L1:           l1,
 		L2:           l2,
-		Mem:          mem.MemStats(),
-	}, energy.DefaultDRAM(), energy.DefaultCPU())
-	return m
-}
-
-// noInline disables every core's event-horizon fast path (see
-// internal/cpu): each op then schedules through the event queue, exactly
-// reproducing the pure event-driven execution. It backs the gsbench
-// -noinline escape hatch and the equivalence tests; results must be
-// bit-identical either way.
-var noInline bool
-
-// SetNoInline toggles the inline fast path for every core built by
-// subsequent experiment runs. Call it before starting experiments; it is
-// read (never written) by concurrent runs.
-func SetNoInline(v bool) { noInline = v }
-
-// l2Latency, when non-zero, overrides the model's L2 hit latency for
-// every rig built by subsequent runs. It is an ablation knob for
-// regression-forensics testing: perturbing one latency stage on purpose
-// gives `gsbench explain` a known-cause delta to attribute. Like
-// noInline it is process-wide; spec.Run serializes specs that set it.
-var l2Latency sim.Cycle
-
-// SetL2Latency overrides the L2 hit latency in CPU cycles for every rig
-// built by subsequent experiment runs (0 restores the model default).
-// Call it before starting experiments.
-func SetL2Latency(v uint64) { l2Latency = sim.Cycle(v) }
-
-// defaultConfig is memsys.DefaultConfig plus the process-wide ablation
-// overrides. Every rig the bench package builds goes through it.
-func defaultConfig(cores int) memsys.Config {
-	cfg := memsys.DefaultConfig(cores)
-	if l2Latency > 0 {
-		cfg.L2Latency = l2Latency
+		Mem:          r.mem.MemStats(),
 	}
-	return cfg
-}
-
-// runStreams executes one stream per core to completion and returns the
-// metrics.
-func runStreams(q *sim.EventQueue, mem *memsys.System, streams []cpu.Stream) RunMetrics {
-	return runStreamsSB(q, mem, streams, 0)
-}
-
-// runStreamsSB is runStreams with a per-core store-buffer capacity.
-func runStreamsSB(q *sim.EventQueue, mem *memsys.System, streams []cpu.Stream, sbCap int) RunMetrics {
-	cores := make([]*cpu.Core, len(streams))
-	for i, s := range streams {
-		cores[i] = cpu.NewWithStoreBuffer(i, q, mem, s, nil, sbCap)
-		cores[i].SetNoInline(noInline)
-		cores[i].Start(0)
-	}
-	rt := takeTelemetry(q)
-	rt.start(q, mem, cores)
-	q.Run()
-	for _, c := range cores {
-		if !c.Stats().Finished {
-			panic("bench: core did not finish")
-		}
-	}
-	rt.finish(q, cores)
-	return measure(q, mem, cores)
 }
 
 // layouts is the fixed comparison order used by every IMDB figure.

@@ -184,7 +184,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestKVStoreBench(t *testing.T) {
-	r, err := RunKVStore(256, 7)
+	r, err := RunKVStore(256, seeded(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestKVStoreBench(t *testing.T) {
 	if !strings.Contains(r.Table().String(), "patt 1") {
 		t.Error("kv table malformed")
 	}
-	if _, err := RunKVStore(5, 1); err == nil {
+	if _, err := RunKVStore(5, seeded(1)); err == nil {
 		t.Error("bad pair count accepted")
 	}
 }
@@ -230,4 +230,19 @@ func TestOptionsDefaults(t *testing.T) {
 	if q.Tuples >= d.Tuples {
 		t.Fatal("quick options not smaller than defaults")
 	}
+}
+
+// seeded returns QuickOptions with the given workload seed.
+func seeded(seed uint64) Options {
+	o := QuickOptions()
+	o.Seed = seed
+	return o
+}
+
+// graphOpts returns the options of a graph run with the given number of
+// random vertex updates.
+func graphOpts(updates int, seed uint64) Options {
+	o := seeded(seed)
+	o.Txns = updates
+	return o
 }

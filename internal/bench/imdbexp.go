@@ -3,10 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"gsdram/internal/cpu"
 	"gsdram/internal/imdb"
+	"gsdram/internal/memsys"
 	"gsdram/internal/sample"
-	"gsdram/internal/sim"
 	"gsdram/internal/stats"
 )
 
@@ -37,8 +36,7 @@ func RunFig9(opts Options) (*Fig9Result, error) {
 		if opts.Sample != nil {
 			label = "" // sampled rigs are untelemetered
 		}
-		mach, db, q, mem, err := newRig(runConfig{layout: layout, tuples: opts.Tuples, cores: 1,
-			label: label, capture: opts.Capture})
+		db, r, err := imdbRig(opts, layout, label, memsys.DefaultConfig(1))
 		if err != nil {
 			return err
 		}
@@ -49,12 +47,12 @@ func RunFig9(opts Options) (*Fig9Result, error) {
 		}
 		var m RunMetrics
 		if opts.Sample != nil {
-			m, ests[j], err = runSampled(sampleConfigFor(*opts.Sample, j), mach, q, mem, s)
+			m, ests[j], err = runSampled(sampleConfigFor(*opts.Sample, j), db.Machine(), r, s)
 			if err != nil {
 				return fmt.Errorf("bench: %v/%v sampled: %w", layout, mix, err)
 			}
 		} else {
-			m = runStreams(q, mem, []cpu.Stream{s})
+			m = r.run(0, s)
 		}
 		if tr.Completed != uint64(opts.Txns) {
 			return fmt.Errorf("bench: %v/%v completed %d txns, want %d", layout, mix, tr.Completed, opts.Txns)
@@ -186,8 +184,9 @@ func RunFig10(opts Options) (*Fig10Result, error) {
 		if opts.Sample != nil {
 			label = ""
 		}
-		mach, db, q, mem, err := newRig(runConfig{layout: layout, tuples: opts.Tuples, cores: 1, prefetch: pt.Prefetch,
-			label: label, capture: opts.Capture})
+		cfg := memsys.DefaultConfig(1)
+		cfg.EnablePrefetch = pt.Prefetch
+		db, r, err := imdbRig(opts, layout, label, cfg)
 		if err != nil {
 			return err
 		}
@@ -202,12 +201,12 @@ func RunFig10(opts Options) (*Fig10Result, error) {
 		}
 		var m RunMetrics
 		if opts.Sample != nil {
-			m, ests[j], err = runSampled(sampleConfigFor(*opts.Sample, j), mach, q, mem, s)
+			m, ests[j], err = runSampled(sampleConfigFor(*opts.Sample, j), db.Machine(), r, s)
 			if err != nil {
 				return fmt.Errorf("bench: fig10 %v sampled: %w", layout, err)
 			}
 		} else {
-			m = runStreams(q, mem, []cpu.Stream{s})
+			m = r.run(0, s)
 		}
 		checkSums(&ar, opts.Tuples, columns)
 		runs[j] = m
@@ -318,49 +317,17 @@ func RunFig11(opts Options) (*Fig11Result, error) {
 	runs := make([]htapRun, len(layouts)*2)
 	err := opts.pool().Run(len(runs), func(j int) error {
 		layout, prefetch := layouts[j/2], j%2 == 1
-		_, db, q, mem, err := newRig(runConfig{layout: layout, tuples: opts.Tuples, cores: 2, prefetch: prefetch,
-			label: fmt.Sprintf("fig11/%v/prefetch=%v", layout, prefetch), capture: opts.Capture})
+		cfg := memsys.DefaultConfig(2)
+		cfg.EnablePrefetch = prefetch
+		db, r, err := imdbRig(opts, layout, fmt.Sprintf("fig11/%v/prefetch=%v", layout, prefetch), cfg)
 		if err != nil {
 			return err
 		}
-		var ar imdb.AnalyticsResult
-		as, err := db.AnalyticsStream([]int{0}, &ar)
+		done, throughput, err := r.htap(db, opts.Seed)
 		if err != nil {
 			return err
 		}
-		var tr imdb.TxnResult
-		ts, err := db.TransactionStream(imdb.TxnMix{RO: 1, WO: 1}, 0 /* unbounded */, opts.Seed, &tr)
-		if err != nil {
-			return err
-		}
-
-		txnCore := cpu.New(1, q, mem, ts, nil)
-		txnCore.SetNoInline(noInline)
-		var analyticsDone sim.Cycle
-		anaCore := cpu.New(0, q, mem, as, func(now sim.Cycle) {
-			analyticsDone = now
-			txnCore.Stop()
-		})
-		anaCore.SetNoInline(noInline)
-		anaCore.Start(0)
-		txnCore.Start(0)
-		cores := []*cpu.Core{anaCore, txnCore} // index == core ID
-		rt := takeTelemetry(q)
-		rt.start(q, mem, cores)
-		q.Run()
-		rt.finish(q, cores)
-
-		// The analytics thread mutates nothing, so the column sum must
-		// still be exact even with concurrent writers to other fields:
-		// the transaction mix writes one random field, which may be
-		// column 0, so only check when it cannot be.
-		_ = ar
-
-		seconds := float64(analyticsDone) / 4e9
-		runs[j] = htapRun{
-			cycles:     uint64(analyticsDone),
-			throughput: float64(tr.Completed) / seconds,
-		}
+		runs[j] = htapRun{cycles: uint64(done), throughput: throughput}
 		return nil
 	})
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"gsdram/internal/imdb"
 	"gsdram/internal/machine"
 	"gsdram/internal/memsys"
-	"gsdram/internal/sim"
 	"gsdram/internal/stats"
 )
 
@@ -89,23 +88,17 @@ func (r *IndexedResult) Table() *stats.Table {
 
 // runIndexedRig simulates one variant's stream on a fresh single-core
 // rig and folds its metrics into slot i of the result.
-func runIndexedRig(r *IndexedResult, i int, opts Options, s cpu.Stream) error {
-	q := &sim.EventQueue{}
-	cfg := defaultConfig(1)
-	cfg.Metrics, cfg.Mem.Observer, cfg.Flight = telemetryForRig(opts.Capture, r.Name+"/"+indexedVariants[i], q)
-	if cfg.Metrics != nil {
-		cfg.LatencyTraceCap = maxLatencyTraces
-	}
-	mem, err := memsys.New(cfg, q)
+func runIndexedRig(res *IndexedResult, i int, opts Options, s cpu.Stream) error {
+	r, err := newRig(opts, res.Name+"/"+indexedVariants[i], memsys.DefaultConfig(1))
 	if err != nil {
 		return err
 	}
-	m := runStreams(q, mem, []cpu.Stream{s})
-	r.Cycles[i] = m.Cycles
-	r.DRAMReads[i] = m.Ctrl.ReadsServed
-	r.Bursts[i] = m.Mem.GathervBursts
-	r.Patterned[i] = m.Mem.GathervPatterned
-	r.Fallback[i] = m.Mem.GathervFallback
+	m := r.run(0, s)
+	res.Cycles[i] = m.Cycles
+	res.DRAMReads[i] = m.Ctrl.ReadsServed
+	res.Bursts[i] = m.Mem.GathervBursts
+	res.Patterned[i] = m.Mem.GathervPatterned
+	res.Fallback[i] = m.Mem.GathervFallback
 	return nil
 }
 

@@ -12,7 +12,6 @@ import (
 	"gsdram/internal/machine"
 	"gsdram/internal/memctrl"
 	"gsdram/internal/memsys"
-	"gsdram/internal/runner"
 	"gsdram/internal/sim"
 	"gsdram/internal/stats"
 )
@@ -119,14 +118,15 @@ type KVResult struct {
 	LookupCycle [2]uint64 // cycles for a miss lookup: plain, GS
 }
 
-// RunKVStore compares full-key-scan lookups on the plain and GS layouts.
-func RunKVStore(pairs int, seed uint64) (*KVResult, error) {
+// RunKVStore compares full-key-scan lookups on the plain and GS layouts
+// for a store of the given number of pairs.
+func RunKVStore(pairs int, opts Options) (*KVResult, error) {
 	if pairs <= 0 || pairs%8 != 0 {
 		return nil, fmt.Errorf("bench: pairs must be a positive multiple of 8")
 	}
 	res := &KVResult{Pairs: pairs}
 	// Both layouts insert the same pairs (the rng is re-seeded per job).
-	err := (runner.Pool{}).Run(2, func(idx int) error {
+	err := opts.pool().Run(2, func(idx int) error {
 		gs := idx == 1
 		mach, err := machine.Default()
 		if err != nil {
@@ -136,7 +136,7 @@ func RunKVStore(pairs int, seed uint64) (*KVResult, error) {
 		if err != nil {
 			return err
 		}
-		rng := sim.NewRand(seed)
+		rng := sim.NewRand(opts.Seed)
 		for i := 0; i < pairs; i++ {
 			if _, err := st.Insert(rng.Uint64()|1, rng.Uint64()); err != nil {
 				return err
@@ -152,12 +152,11 @@ func RunKVStore(pairs int, seed uint64) (*KVResult, error) {
 		if found {
 			return fmt.Errorf("bench: phantom kv hit")
 		}
-		q := &sim.EventQueue{}
-		mem, err := memsys.New(defaultConfig(1), q)
+		r, err := newRig(opts, "", memsys.DefaultConfig(1))
 		if err != nil {
 			return err
 		}
-		m := runStreams(q, mem, []cpu.Stream{cpu.SliceStream(scan)})
+		m := r.run(0, cpu.SliceStream(scan))
 		res.ScanLines[idx] = m.Mem.DRAMReads
 		res.LookupCycle[idx] = m.Cycles
 		return nil
@@ -202,18 +201,9 @@ func RunAutoGather(opts Options) (*AutoGatherResult, error) {
 	modes := []mode{{false, false}, {true, false}, {true, true}}
 	err := opts.pool().Run(len(modes), func(i int) error {
 		md := modes[i]
-		mach, err := machine.Default()
-		if err != nil {
-			return err
-		}
-		db, err := imdb.New(mach, imdb.GSStore, opts.Tuples)
-		if err != nil {
-			return err
-		}
-		q := &sim.EventQueue{}
-		cfg := defaultConfig(1)
+		cfg := memsys.DefaultConfig(1)
 		cfg.AutoPattern = md.auto
-		mem, err := memsys.New(cfg, q)
+		db, r, err := imdbRig(opts, imdb.GSStore, "", cfg)
 		if err != nil {
 			return err
 		}
@@ -227,12 +217,12 @@ func RunAutoGather(opts Options) (*AutoGatherResult, error) {
 		if err != nil {
 			return err
 		}
-		m := runStreams(q, mem, []cpu.Stream{s})
+		m := r.run(0, s)
 		checkSums(&ar, opts.Tuples, []int{0})
 		res.Cycles[i] = m.Cycles
 		res.LineReads[i] = m.Mem.DRAMReads
 		if md.auto {
-			res.Promoted = mem.AutoPattStats().Promoted
+			res.Promoted = r.mem.AutoPattStats().Promoted
 		}
 		return nil
 	})
@@ -286,77 +276,31 @@ func RunSchedulerAblation(opts Options) (*SchedulerAblationResult, error) {
 	err := opts.pool().Run(len(pols)*3, func(j int) error {
 		pi, sub := j/3, j%3
 		pol := pols[pi]
-		if sub < 2 {
-			wi := sub
-			mach, err := machine.Default()
-			if err != nil {
-				return err
-			}
-			db, err := imdb.New(mach, imdb.GSStore, opts.Tuples)
-			if err != nil {
-				return err
-			}
-			q := &sim.EventQueue{}
-			cfg := defaultConfig(1)
-			cfg.Mem.Sched = pol.sched
-			cfg.Mem.Row = pol.row
-			mem, err := memsys.New(cfg, q)
-			if err != nil {
-				return err
-			}
-			var s cpu.Stream
-			if wi == 0 {
-				s, err = db.AnalyticsStream([]int{0}, nil)
-			} else {
-				s, err = db.TransactionStream(imdb.TxnMix{RO: 2, WO: 1, RW: 1}, opts.Txns, opts.Seed, nil)
-			}
-			if err != nil {
-				return err
-			}
-			m := runStreams(q, mem, []cpu.Stream{s})
-			res.Cycles[pi][wi] = m.Cycles
-			return nil
+		cfg := memsys.DefaultConfig(1)
+		if sub == 2 { // HTAP: two cores, prefetching on
+			cfg = memsys.DefaultConfig(2)
+			cfg.EnablePrefetch = true
 		}
-
-		// HTAP: analytics + transactions on two cores, prefetching on.
-		mach, err := machine.Default()
-		if err != nil {
-			return err
-		}
-		db, err := imdb.New(mach, imdb.GSStore, opts.Tuples)
-		if err != nil {
-			return err
-		}
-		q := &sim.EventQueue{}
-		cfg := defaultConfig(2)
-		cfg.EnablePrefetch = true
 		cfg.Mem.Sched = pol.sched
 		cfg.Mem.Row = pol.row
-		mem, err := memsys.New(cfg, q)
+		db, r, err := imdbRig(opts, imdb.GSStore, "", cfg)
 		if err != nil {
 			return err
 		}
-		as, err := db.AnalyticsStream([]int{0}, nil)
+		var s cpu.Stream
+		switch sub {
+		case 0:
+			s, err = db.AnalyticsStream([]int{0}, nil)
+		case 1:
+			s, err = db.TransactionStream(imdb.TxnMix{RO: 2, WO: 1, RW: 1}, opts.Txns, opts.Seed, nil)
+		case 2:
+			_, res.HTAPThroughput[pi], err = r.htap(db, opts.Seed)
+			return err
+		}
 		if err != nil {
 			return err
 		}
-		var tr imdb.TxnResult
-		ts, err := db.TransactionStream(imdb.TxnMix{RO: 1, WO: 1}, 0, opts.Seed, &tr)
-		if err != nil {
-			return err
-		}
-		txnCore := cpu.New(1, q, mem, ts, nil)
-		txnCore.SetNoInline(noInline)
-		var done sim.Cycle
-		anaCore := cpu.New(0, q, mem, as, func(now sim.Cycle) {
-			done = now
-			txnCore.Stop()
-		})
-		anaCore.SetNoInline(noInline)
-		anaCore.Start(0)
-		txnCore.Start(0)
-		q.Run()
-		res.HTAPThroughput[pi] = float64(tr.Completed) / (float64(done) / 4e9)
+		res.Cycles[pi][sub] = r.run(0, s).Cycles
 		return nil
 	})
 	if err != nil {

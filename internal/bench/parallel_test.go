@@ -47,4 +47,27 @@ func TestWorkersDeterminism(t *testing.T) {
 		t.Errorf("Fig10 tables differ:\n-- serial --\n%s\n-- parallel --\n%s",
 			s10.Table().String(), p10.Table().String())
 	}
+
+	// The workloads that take their own scale arguments honour Workers
+	// too, with results independent of it.
+	for _, tc := range []struct {
+		name string
+		run  func(Options) (any, error)
+	}{
+		{"kvstore", func(o Options) (any, error) { return RunKVStore(2048, o) }},
+		{"graph", func(o Options) (any, error) { return RunGraph(8192, 8, o) }},
+		{"pixels", func(o Options) (any, error) { return RunPixels(8192, 500, o) }},
+	} {
+		s, err := tc.run(serial)
+		if err != nil {
+			t.Fatalf("%s serial: %v", tc.name, err)
+		}
+		p, err := tc.run(par)
+		if err != nil {
+			t.Fatalf("%s parallel: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(s, p) {
+			t.Errorf("%s results differ between Workers=1 and Workers=8:\n serial   %+v\n parallel %+v", tc.name, s, p)
+		}
+	}
 }

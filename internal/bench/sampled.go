@@ -3,7 +3,6 @@ package bench
 import (
 	"gsdram/internal/cpu"
 	"gsdram/internal/machine"
-	"gsdram/internal/memsys"
 	"gsdram/internal/sample"
 	"gsdram/internal/sim"
 )
@@ -28,21 +27,22 @@ func sampleConfigFor(base sample.Config, j int) sample.Config {
 }
 
 // runSampled executes one stream under interval sampling on a fresh rig
-// and synthesizes RunMetrics comparable to runStreams: extrapolated
+// and synthesizes RunMetrics comparable to rig.run: extrapolated
 // cycles and energy from the estimate, memory-side counters from the
 // detailed windows (functional fast-forward touches no counters).
-// Sampled rigs are untelemetered, so there is no capture state to claim.
+// Sampled rigs are untelemetered, and the sampler drives its own cores,
+// so the rig's fast-path switch does not apply.
 //
 // Streams supporting a functional shadow overlay (imdb.TxnStream) are
 // switched into it: the timing path is tag-only and checksums come out
 // identical, so the scattered physical-layout writes — and the
 // copy-on-write DRAM row copies they would trigger on the cloned
 // template — are pure overhead for a sampled run.
-func runSampled(sc sample.Config, mach *machine.Machine, q *sim.EventQueue, mem *memsys.System, s cpu.Stream) (RunMetrics, *sample.Result, error) {
+func runSampled(sc sample.Config, mach *machine.Machine, r *rig, s cpu.Stream) (RunMetrics, *sample.Result, error) {
 	if sh, ok := s.(interface{ EnableShadow() }); ok {
 		sh.EnableShadow()
 	}
-	est, err := sample.Run(sc, sample.Target{Mach: mach, Q: q, Mem: mem, Stream: s})
+	est, err := sample.Run(sc, sample.Target{Mach: mach, Q: r.q, Mem: r.mem, Stream: s})
 	if err != nil {
 		return RunMetrics{}, nil, err
 	}
@@ -53,8 +53,8 @@ func runSampled(sc sample.Config, mach *machine.Machine, q *sim.EventQueue, mem 
 			FinishCycle:  sim.Cycle(est.Cycles),
 			Finished:     true,
 		}},
-		Mem:    mem.Stats(),
-		Ctrl:   mem.MemStats(),
+		Mem:    r.mem.Stats(),
+		Ctrl:   r.mem.MemStats(),
 		Energy: est.Energy,
 	}
 	return m, est, nil

@@ -3,12 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"gsdram/internal/cpu"
 	"gsdram/internal/imdb"
 	"gsdram/internal/machine"
 	"gsdram/internal/memsys"
 	"gsdram/internal/pixels"
-	"gsdram/internal/runner"
 	"gsdram/internal/sample"
 	"gsdram/internal/sim"
 	"gsdram/internal/stats"
@@ -31,7 +29,10 @@ func RunImpulse(opts Options) (*ImpulseResult, error) {
 	res := &ImpulseResult{Opts: opts}
 	modes := []memsys.GatherMode{memsys.GatherInDRAM, memsys.GatherAtController}
 	err := opts.pool().Run(len(modes), func(i int) error {
-		db, q, mem, err := impulseRig(opts, modes[i])
+		cfg := memsys.DefaultConfig(1)
+		cfg.EnablePrefetch = true
+		cfg.Gather = modes[i]
+		db, r, err := imdbRig(opts, imdb.GSStore, "", cfg)
 		if err != nil {
 			return err
 		}
@@ -40,7 +41,7 @@ func RunImpulse(opts Options) (*ImpulseResult, error) {
 		if err != nil {
 			return err
 		}
-		m := runStreams(q, mem, []cpu.Stream{s})
+		m := r.run(0, s)
 		checkSums(&ar, opts.Tuples, []int{0})
 		res.Cycles[i] = m.Cycles
 		res.LineReads[i] = m.Ctrl.ReadsServed
@@ -51,24 +52,6 @@ func RunImpulse(opts Options) (*ImpulseResult, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-func impulseRig(opts Options, mode memsys.GatherMode) (*imdb.DB, *sim.EventQueue, *memsys.System, error) {
-	_, db, _, _, err := newRig(runConfig{layout: imdb.GSStore, tuples: opts.Tuples, cores: 1, prefetch: true})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// Rebuild the memory system with the requested gather mode (newRig
-	// builds the default one).
-	q := &sim.EventQueue{}
-	cfg := defaultConfig(1)
-	cfg.EnablePrefetch = true
-	cfg.Gather = mode
-	mem, err := memsys.New(cfg, q)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return db, q, mem, nil
 }
 
 // Table renders the related-work comparison.
@@ -106,8 +89,9 @@ func RunPatternSweep(opts Options) (*PatternSweepResult, error) {
 		if opts.Sample != nil {
 			label = ""
 		}
-		mach, db, q, mem, err := newRig(runConfig{layout: imdb.GSStore, tuples: opts.Tuples, cores: 1, prefetch: true,
-			label: label, capture: opts.Capture})
+		cfg := memsys.DefaultConfig(1)
+		cfg.EnablePrefetch = true
+		db, r, err := imdbRig(opts, imdb.GSStore, label, cfg)
 		if err != nil {
 			return err
 		}
@@ -118,12 +102,12 @@ func RunPatternSweep(opts Options) (*PatternSweepResult, error) {
 		}
 		var m RunMetrics
 		if opts.Sample != nil {
-			m, res.Sampled[p], err = runSampled(sampleConfigFor(*opts.Sample, p), mach, q, mem, s)
+			m, res.Sampled[p], err = runSampled(sampleConfigFor(*opts.Sample, p), db.Machine(), r, s)
 			if err != nil {
 				return fmt.Errorf("bench: pattern sweep p=%d sampled: %w", p, err)
 			}
 		} else {
-			m = runStreams(q, mem, []cpu.Stream{s})
+			m = r.run(0, s)
 		}
 		checkSums(&ar, opts.Tuples, []int{0})
 		res.Cycles[p] = m.Cycles
@@ -179,8 +163,7 @@ func RunStoreBuffer(opts Options) (*StoreBufferResult, error) {
 	runs := make([]uint64, len(layouts)*2)
 	err := opts.pool().Run(len(runs), func(j int) error {
 		layout, sbCap := layouts[j/2], sbCaps[j%2]
-		_, db, q, mem, err := newRig(runConfig{layout: layout, tuples: opts.Tuples, cores: 1,
-			label: fmt.Sprintf("storebuf/%v/sb%d", layout, sbCap), capture: opts.Capture})
+		db, r, err := imdbRig(opts, layout, fmt.Sprintf("storebuf/%v/sb%d", layout, sbCap), memsys.DefaultConfig(1))
 		if err != nil {
 			return err
 		}
@@ -188,8 +171,7 @@ func RunStoreBuffer(opts Options) (*StoreBufferResult, error) {
 		if err != nil {
 			return err
 		}
-		m := runStreamsSB(q, mem, []cpu.Stream{s}, sbCap)
-		runs[j] = m.Cycles
+		runs[j] = r.run(sbCap, s).Cycles
 		return nil
 	})
 	if err != nil {
@@ -224,17 +206,17 @@ type PixelsResult struct {
 	ShadeCycles [2]uint64
 }
 
-// RunPixels runs the graphics workload: a full-image channel histogram
-// (favours gathers) and a batch of random 3-channel shades (favours
-// whole records, which both layouts have).
-func RunPixels(n, shades int, seed uint64) (*PixelsResult, error) {
+// RunPixels runs the graphics workload on an n-pixel image: a full-image
+// channel histogram (favours gathers) and a batch of random 3-channel
+// shades (favours whole records, which both layouts have).
+func RunPixels(n, shades int, opts Options) (*PixelsResult, error) {
 	if n <= 0 || n%8 != 0 {
 		return nil, fmt.Errorf("bench: pixel count must be a positive multiple of 8")
 	}
 	res := &PixelsResult{N: n}
 	// Both layouts fill the image from the same re-seeded rng, so they see
 	// identical pixel data and shade lists.
-	err := (runner.Pool{}).Run(2, func(i int) error {
+	err := opts.pool().Run(2, func(i int) error {
 		gs := i == 1
 		mach, err := machine.Default()
 		if err != nil {
@@ -244,7 +226,7 @@ func RunPixels(n, shades int, seed uint64) (*PixelsResult, error) {
 		if err != nil {
 			return err
 		}
-		rng := sim.NewRand(seed)
+		rng := sim.NewRand(opts.Seed)
 		for p := 0; p < n; p++ {
 			for c := 0; c < pixels.NumChannels; c++ {
 				if err := img.Set(p, c, rng.Uint64()%4096); err != nil {
@@ -253,39 +235,31 @@ func RunPixels(n, shades int, seed uint64) (*PixelsResult, error) {
 			}
 		}
 
-		// Histogram.
-		{
-			q := &sim.EventQueue{}
-			mem, err := memsys.New(defaultConfig(1), q)
-			if err != nil {
-				return err
-			}
-			s, err := img.HistogramStream(pixels.ChanR, nil)
-			if err != nil {
-				return err
-			}
-			m := runStreams(q, mem, []cpu.Stream{s})
-			res.HistCycles[i] = m.Cycles
-			res.HistLines[i] = m.Ctrl.ReadsServed
+		// Histogram, then shading, each on a fresh rig.
+		hist, err := img.HistogramStream(pixels.ChanR, nil)
+		if err != nil {
+			return err
 		}
-		// Shading.
-		{
-			q := &sim.EventQueue{}
-			mem, err := memsys.New(defaultConfig(1), q)
-			if err != nil {
-				return err
-			}
-			list := make([]int, shades)
-			for j := range list {
-				list[j] = rng.Intn(n)
-			}
-			s, err := img.ShadeStream(list)
-			if err != nil {
-				return err
-			}
-			m := runStreams(q, mem, []cpu.Stream{s})
-			res.ShadeCycles[i] = m.Cycles
+		r, err := newRig(opts, "", memsys.DefaultConfig(1))
+		if err != nil {
+			return err
 		}
+		m := r.run(0, hist)
+		res.HistCycles[i] = m.Cycles
+		res.HistLines[i] = m.Ctrl.ReadsServed
+
+		list := make([]int, shades)
+		for j := range list {
+			list[j] = rng.Intn(n)
+		}
+		shade, err := img.ShadeStream(list)
+		if err != nil {
+			return err
+		}
+		if r, err = newRig(opts, "", memsys.DefaultConfig(1)); err != nil {
+			return err
+		}
+		res.ShadeCycles[i] = r.run(0, shade).Cycles
 		return nil
 	})
 	if err != nil {

@@ -8,8 +8,6 @@ import (
 	"gsdram/internal/cpu"
 	"gsdram/internal/energy"
 	"gsdram/internal/flight"
-	"gsdram/internal/memctrl"
-	"gsdram/internal/memsys"
 	"gsdram/internal/metrics"
 	"gsdram/internal/sim"
 	"gsdram/internal/telemetry"
@@ -90,18 +88,7 @@ func (c *Capture) add(run *telemetry.Run) {
 	c.mu.Unlock()
 }
 
-// pending holds per-rig capture state between newRig (which wires the
-// memory system) and runStreams (which wires cores and runs), keyed by
-// the rig's event queue. The map is process-global but purely a handoff
-// within one rig's construction: entries live for microseconds and the
-// critical sections are constant-time, so concurrent batches never
-// serialize on it.
-var pending struct {
-	sync.Mutex
-	m map[*sim.EventQueue]*rigTelemetry
-}
-
-// rigTelemetry is one rig's capture state.
+// rigTelemetry is one rig's capture state, held by the rig itself.
 type rigTelemetry struct {
 	owner   *Capture
 	label   string
@@ -110,18 +97,16 @@ type rigTelemetry struct {
 	phases  *telemetry.PhaseRecorder
 	sampler *telemetry.Sampler
 	flight  *flight.Recorder
-	// mem is the rig's memory system, captured in start so finish can
-	// collect its latency recorder.
-	mem *memsys.System
 }
 
-// telemetryForRig creates capture state for a labelled rig and returns
-// the registry, command observer, and flight recorder to build the
-// memory system with. Returns nils (build an untelemetered rig) when
-// the batch has no capture context or the run has no label.
-func telemetryForRig(c *Capture, label string, q *sim.EventQueue) (*metrics.Registry, func(memctrl.CommandEvent), *flight.Recorder) {
+// forRig creates capture state for a labelled rig: the registry,
+// command recorder and (when armed) flight recorder to build its memory
+// system with. Returns nil — an untelemetered rig — when the batch has
+// no capture context or the run has no label; every method of a nil
+// *rigTelemetry is a no-op, so rigs call them unconditionally.
+func (c *Capture) forRig(label string) *rigTelemetry {
 	if c == nil || label == "" {
-		return nil, nil, nil
+		return nil
 	}
 	rt := &rigTelemetry{
 		owner:  c,
@@ -136,68 +121,36 @@ func telemetryForRig(c *Capture, label string, q *sim.EventQueue) (*metrics.Regi
 		c.flights = append(c.flights, flight.LabeledRecorder{Label: label, Rec: rt.flight})
 		c.mu.Unlock()
 	}
-	pending.Lock()
-	if pending.m == nil {
-		pending.m = map[*sim.EventQueue]*rigTelemetry{}
-	}
-	pending.m[q] = rt
-	pending.Unlock()
-	return rt.reg, rt.rec.Observe, rt.flight
-}
-
-// takeTelemetry claims (and removes) the pending capture state for q.
-// Returns nil for untelemetered rigs; every method of a nil
-// *rigTelemetry is a no-op, so run loops call them unconditionally.
-func takeTelemetry(q *sim.EventQueue) *rigTelemetry {
-	pending.Lock()
-	defer pending.Unlock()
-	rt := pending.m[q]
-	if rt != nil {
-		delete(pending.m, q)
-	}
 	return rt
 }
 
 // start completes registration — per-core counters and stall hooks
 // (cores[i] must have core ID i), the live energy gauges — and starts
-// the epoch sampler. Call after the cores are built, before q.Run().
-func (rt *rigTelemetry) start(q *sim.EventQueue, mem *memsys.System, cores []*cpu.Core) {
+// the epoch sampler. Call after the cores are started, before the
+// queue runs.
+func (rt *rigTelemetry) start(r *rig, cores []*cpu.Core) {
 	if rt == nil {
 		return
 	}
-	rt.mem = mem
 	for i, c := range cores {
 		c.RegisterMetrics(rt.reg, fmt.Sprintf("core.%d", i))
 		c.SetPhaseHook(rt.phases.HookFor(i))
 		c.SetFlightRecorder(rt.flight)
 	}
 	energy.RegisterLive(rt.reg, func() energy.Activity {
-		var instrs uint64
-		for _, c := range cores {
-			instrs += c.Stats().Instructions
-		}
-		l1, l2 := mem.CacheStats()
-		return energy.Activity{
-			Runtime:      q.Now(),
-			FreqGHz:      4,
-			Cores:        len(cores),
-			Instructions: instrs,
-			L1:           l1,
-			L2:           l2,
-			Mem:          mem.MemStats(),
-		}
+		return r.activity(cores, r.q.Now())
 	}, energy.DefaultDRAM(), energy.DefaultCPU())
-	rt.sampler = telemetry.NewSampler(q, rt.reg, rt.owner.epoch)
+	rt.sampler = telemetry.NewSampler(r.q, rt.reg, rt.owner.epoch)
 	rt.sampler.Start()
 }
 
 // finish records the final epoch row, assembles the telemetry.Run, and
-// adds it to the owning capture. Call after q.Run() returns.
-func (rt *rigTelemetry) finish(q *sim.EventQueue, cores []*cpu.Core) {
+// adds it to the owning capture. Call after the queue has run dry.
+func (rt *rigTelemetry) finish(r *rig, cores []*cpu.Core) {
 	if rt == nil {
 		return
 	}
-	rt.sampler.Finish(q.Now())
+	rt.sampler.Finish(r.q.Now())
 	run := &telemetry.Run{
 		Label:        rt.label,
 		Registry:     rt.reg,
@@ -205,9 +158,9 @@ func (rt *rigTelemetry) finish(q *sim.EventQueue, cores []*cpu.Core) {
 		Phases:       rt.phases,
 		Commands:     rt.rec.Events(),
 		CommandsSeen: rt.rec.Seen(),
-		Latency:      rt.mem.LatencyRecorder(),
+		Latency:      r.mem.LatencyRecorder(),
 		Flight:       rt.flight,
-		End:          q.Now(),
+		End:          r.q.Now(),
 	}
 	for i, c := range cores {
 		st := c.Stats()

@@ -15,7 +15,6 @@ import (
 
 	"gsdram/internal/addrmap"
 	"gsdram/internal/dram"
-	"gsdram/internal/flight"
 	"gsdram/internal/gsdram"
 	"gsdram/internal/latency"
 	"gsdram/internal/metrics"
@@ -118,11 +117,6 @@ type Config struct {
 	// per-rank DRAM command counters at construction. Nil disables
 	// registration; the counters are maintained either way.
 	Metrics *metrics.Registry
-
-	// Flight, when non-nil, records every issued DDR command into the
-	// rig's flight recorder (last-K ring, see internal/flight). Nil
-	// disables recording at the cost of one branch per command.
-	Flight *flight.Recorder
 }
 
 // CommandEvent describes one issued DDR command.
@@ -622,13 +616,11 @@ func (ch *channel) closeIdleRow(now sim.Cycle) bool {
 	return false
 }
 
-// observe reports a command to the configured observer and the flight
-// recorder.
+// observe reports a command to the configured observer.
 func (ch *channel) observe(at sim.Cycle, rank, bank, row int, kind dram.CmdKind, patt gsdram.Pattern) {
 	if ob := ch.ctrl.cfg.Observer; ob != nil {
 		ob(CommandEvent{At: at, Channel: ch.id, Rank: rank, Bank: bank, Row: row, Kind: kind, Pattern: patt})
 	}
-	ch.ctrl.cfg.Flight.Command(at, ch.id, rank, bank, row, kind, patt)
 }
 
 // rowHasWork reports whether any queued request targets (rank, bank, row).

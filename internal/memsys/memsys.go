@@ -79,8 +79,9 @@ type Config struct {
 
 	// Flight, when non-nil, records cache line transitions, §4.1
 	// coherence actions, MSHR traffic, and coalescer burst decisions
-	// into the rig's flight recorder; it is also threaded through to the
-	// controller for DDR commands. Nil disables recording.
+	// into the rig's flight recorder; New also chains it onto the
+	// controller's command observer (Mem.Observer) for DDR commands. Nil
+	// disables recording.
 	Flight *flight.Recorder
 }
 
@@ -333,7 +334,15 @@ func New(cfg Config, q *sim.EventQueue) (*System, error) {
 	s.l2 = l2
 	memCfg := cfg.Mem
 	memCfg.Metrics = cfg.Metrics
-	memCfg.Flight = cfg.Flight
+	if fr := cfg.Flight; fr != nil {
+		ob := memCfg.Observer
+		memCfg.Observer = func(ev memctrl.CommandEvent) {
+			if ob != nil {
+				ob(ev)
+			}
+			fr.Command(ev.At, ev.Channel, ev.Rank, ev.Bank, ev.Row, ev.Kind, ev.Pattern)
+		}
+	}
 	ctrl, err := memctrl.New(memCfg, q)
 	if err != nil {
 		return nil, err

@@ -82,15 +82,15 @@ var registry = []entry{
 		}
 		return r, nil, []*stats.Table{r.Table()}, nil
 	}},
-	{"kvstore", func(s *Spec, _ bench.Options) (any, any, []*stats.Table, error) {
-		r, err := bench.RunKVStore(s.KVPairs, s.Seed)
+	{"kvstore", func(s *Spec, opts bench.Options) (any, any, []*stats.Table, error) {
+		r, err := bench.RunKVStore(s.KVPairs, opts)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		return r, nil, []*stats.Table{r.Table()}, nil
 	}},
 	{"graph", func(s *Spec, opts bench.Options) (any, any, []*stats.Table, error) {
-		r, err := bench.RunGraph(s.Vertices, s.Degree, opts.Txns, s.Seed)
+		r, err := bench.RunGraph(s.Vertices, s.Degree, opts)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -138,8 +138,8 @@ var registry = []entry{
 		}
 		return r, nil, []*stats.Table{r.Table()}, nil
 	}},
-	{"pixels", func(s *Spec, _ bench.Options) (any, any, []*stats.Table, error) {
-		r, err := bench.RunPixels(s.Tuples&^7, 2000, s.Seed)
+	{"pixels", func(s *Spec, opts bench.Options) (any, any, []*stats.Table, error) {
+		r, err := bench.RunPixels(s.Tuples&^7, 2000, opts)
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -114,9 +114,8 @@ func TestRunSeedChangesResult(t *testing.T) {
 	}
 }
 
-// TestRunConcurrent exercises the read-lock path: untelemetered and
-// telemetered specs alike run concurrently (only NoInline takes the
-// write lock), and mixing them must not corrupt either side. Run under
+// TestRunConcurrent: untelemetered and telemetered specs alike run
+// concurrently, and mixing them must not corrupt either side. Run under
 // -race.
 func TestRunConcurrent(t *testing.T) {
 	base, err := RunDocument(quickSpec())
@@ -162,39 +161,76 @@ func TestRunConcurrent(t *testing.T) {
 	}
 }
 
-// TestTelemeteredRunHoldsOnlyReadLock pins the tentpole property of the
-// per-rig capture model: a telemetered spec must not take runMu's write
-// lock, so other points (telemetered or not) can run alongside it in
-// one process. The probe polls TryRLock while the telemetered run is in
-// flight; under the old session-global capture it could never succeed
-// until the run finished, so requiring one success before completion
-// fails deterministically on a write-locked implementation.
-func TestTelemeteredRunHoldsOnlyReadLock(t *testing.T) {
-	s := quickSpec()
-	s.Telemetry = true
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(s)
-		done <- err
-	}()
-	overlapped := false
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("telemetered run: %v", err)
-			}
-			if !overlapped {
-				t.Fatalf("runMu was write-locked for the entire telemetered run; telemetered points would serialize")
-			}
-			return
-		default:
+// TestConcurrentKnobsMatchSerial: the execution knobs are per spec, so a
+// default, a NoInline and an L2Latency spec — all telemetered — run at
+// the same time in one process, and each document equals its serial
+// execution modulo wall_ns. An override leaking into another spec (the
+// failure mode of a process-wide switch) would change that spec's
+// document. Run under -race.
+func TestConcurrentKnobsMatchSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs nine telemetered simulations")
+	}
+	specs := []*Spec{quickSpec(), quickSpec(), quickSpec()}
+	specs[1].NoInline = true
+	specs[2].L2Latency = 60
+	for _, s := range specs {
+		s.Telemetry = true
+	}
+
+	serial := make([][]byte, len(specs))
+	for i, s := range specs {
+		doc, err := RunDocument(s)
+		if err != nil {
+			t.Fatalf("serial run %d: %v", i, err)
 		}
-		if runMu.TryRLock() {
-			runMu.RUnlock()
-			overlapped = true
+		serial[i] = zeroWallNS(t, doc)
+	}
+	// The knobs take effect: NoInline only shows in the manifest, while
+	// the L2 override changes the results themselves.
+	if bytes.Equal(serial[0], serial[1]) {
+		t.Fatal("NoInline spec produced the default document, manifest included")
+	}
+	if bytes.Equal(experiments(t, serial[0]), experiments(t, serial[2])) {
+		t.Fatal("L2Latency spec produced the default results")
+	}
+	if !bytes.Equal(experiments(t, serial[0]), experiments(t, serial[1])) {
+		t.Fatal("NoInline changed the results")
+	}
+
+	// Two copies of each spec at once.
+	n := 2 * len(specs)
+	docs := make([][]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			docs[i], errs[i] = RunDocument(specs[i%len(specs)])
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(zeroWallNS(t, docs[i]), serial[i%len(specs)]) {
+			t.Fatalf("concurrent run of spec %d differs from its serial execution", i%len(specs))
 		}
 	}
+}
+
+// experiments returns the experiments section of a run document.
+func experiments(t *testing.T, doc []byte) []byte {
+	t.Helper()
+	var d struct {
+		Experiments json.RawMessage `json:"experiments"`
+	}
+	if err := json.Unmarshal(doc, &d); err != nil {
+		t.Fatalf("unmarshal document: %v", err)
+	}
+	return d.Experiments
 }
 
 // TestConcurrentTelemeteredRunsMatchSerial: two telemetered specs
@@ -370,7 +406,7 @@ func TestL2LatencyChangesResultsAndHash(t *testing.T) {
 	}
 
 	// And the default path is unaffected: a fresh default run still
-	// matches the first one (the knob resets after the run).
+	// matches the first one (the knob belongs to its spec alone).
 	again, err := Run(bt)
 	if err != nil {
 		t.Fatal(err)

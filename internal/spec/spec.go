@@ -178,6 +178,8 @@ func (s *Spec) BenchOptions() bench.Options {
 	o.Txns = s.Txns
 	o.Seed = s.Seed
 	o.Workers = s.Workers
+	o.NoInline = s.NoInline
+	o.L2Latency = s.L2Latency
 	if len(s.GemmSizes) > 0 {
 		o.GemmSizes = append([]int(nil), s.GemmSizes...)
 	}

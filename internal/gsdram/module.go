@@ -66,7 +66,9 @@ type Module struct {
 	// plans is the precomputed gather-plan table, indexed by
 	// ((shuffledBit*patterns)+pattern)*Cols + column. It is built once at
 	// construction (the software analogue of the CTL being pure
-	// combinational logic), so the per-command path never allocates. For
+	// combinational logic), so the per-command path never allocates, and
+	// is never written after: the modules NewModules builds together, and
+	// every Clone, share one table. For
 	// configurations whose (pattern x column) space is too large to
 	// enumerate, plans is nil and planCache memoises plans on demand.
 	plans     []gatherPlan
@@ -105,21 +107,35 @@ func NewModule(p Params, g Geometry) *Module {
 // NewModuleFunc returns a module with a programmable shuffling function
 // (paper §6.1). A nil fn selects the default column-LSB function.
 func NewModuleFunc(p Params, g Geometry, fn ShuffleFunc) (*Module, error) {
+	mods, err := NewModules(p, g, fn, 1)
+	if err != nil {
+		return nil, err
+	}
+	return mods[0], nil
+}
+
+// NewModules returns n zero-filled modules of one organisation — the
+// ranks of a machine — as NewModuleFunc would build them one by one,
+// except that they share one gather-plan table. The table depends only
+// on p, g.Cols and fn, and is immutable once built, so it is computed
+// once for all n modules.
+func NewModules(p Params, g Geometry, fn ShuffleFunc, n int) ([]*Module, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	if n <= 0 {
+		return nil, fmt.Errorf("gsdram: module count must be positive, got %d", n)
+	}
 	if fn == nil {
 		fn = DefaultShuffle(p.ShuffleStages)
 	}
-	m := &Module{
+	proto := Module{
 		params:    p,
 		geom:      g,
 		shuffle:   fn,
-		rows:      make([][]uint64, g.Banks*g.Rows),
-		owned:     make([]uint64, (g.Banks*g.Rows+63)/64),
 		chipShift: uint(p.chipBits()),
 		chipMask:  p.Chips - 1,
 	}
@@ -127,21 +143,29 @@ func NewModuleFunc(p Params, g Geometry, fn ShuffleFunc) (*Module, error) {
 	if entries := 2 * patterns * g.Cols; entries <= maxDensePlans {
 		// Precompute every (shuffled, pattern, column) gather plan into one
 		// contiguous backing array: three ints per line position.
-		m.plans = make([]gatherPlan, entries)
+		proto.plans = make([]gatherPlan, entries)
 		backing := make([]int, entries*3*p.Chips)
-		for i := range m.plans {
-			pl := &m.plans[i]
+		for i := range proto.plans {
+			pl := &proto.plans[i]
 			pl.chip, backing = backing[:p.Chips:p.Chips], backing[p.Chips:]
 			pl.chipCol, backing = backing[:p.Chips:p.Chips], backing[p.Chips:]
 			pl.logical, backing = backing[:p.Chips:p.Chips], backing[p.Chips:]
 			shuffled := i >= patterns*g.Cols
 			rest := i % (patterns * g.Cols)
-			m.buildPlan(pl, Pattern(rest/g.Cols), rest%g.Cols, shuffled)
+			proto.buildPlan(pl, Pattern(rest/g.Cols), rest%g.Cols, shuffled)
 		}
-	} else {
-		m.planCache = make(map[planKey]*gatherPlan)
 	}
-	return m, nil
+	mods := make([]*Module, n)
+	for i := range mods {
+		m := proto
+		m.rows = make([][]uint64, g.Banks*g.Rows)
+		m.owned = make([]uint64, (g.Banks*g.Rows+63)/64)
+		if m.plans == nil {
+			m.planCache = make(map[planKey]*gatherPlan)
+		}
+		mods[i] = &m
+	}
+	return mods, nil
 }
 
 // Clone returns an independent copy of the module's contents. The

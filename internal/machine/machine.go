@@ -98,16 +98,12 @@ func New(spec addrmap.Spec, gs gsdram.Params) (*Machine, error) {
 	}
 	m := &Machine{Spec: spec, GS: gs, AS: as, dec: newDecomposer(spec)}
 	geom := gsdram.Geometry{Banks: spec.Banks, Rows: spec.Rows, Cols: spec.Cols}
+	mods, err := gsdram.NewModules(gs, geom, nil, spec.Channels*spec.Ranks)
+	if err != nil {
+		return nil, err
+	}
 	for c := 0; c < spec.Channels; c++ {
-		var rank []*gsdram.Module
-		for r := 0; r < spec.Ranks; r++ {
-			mod, err := gsdram.NewModuleFunc(gs, geom, nil)
-			if err != nil {
-				return nil, err
-			}
-			rank = append(rank, mod)
-		}
-		m.mods = append(m.mods, rank)
+		m.mods = append(m.mods, mods[c*spec.Ranks:(c+1)*spec.Ranks])
 	}
 	return m, nil
 }

@@ -45,20 +45,12 @@ func (m *Model) checkAccess(a addrmap.Addr, patt gsdram.Pattern) error {
 	return nil
 }
 
-// cachesInOrder returns the hierarchy walk order of the overlap paths:
-// L1s first, then L2 — the same order memsys uses.
-func (m *Model) cachesInOrder() []*modelCache {
-	out := make([]*modelCache, 0, len(m.l1)+1)
-	out = append(out, m.l1...)
-	return append(out, m.l2)
-}
-
 // writebackEntry scatters an entry's words to flat memory. When the entry
 // lives in an L1 and the L2 holds a copy of the same (line, pattern), the
 // copy's data is refreshed too (state and recency untouched).
 func (m *Model) writebackEntry(e *entry, fromL1 bool) {
 	for i, wa := range e.addrs {
-		m.mem[wa] = e.words[i]
+		m.setWord(wa, e.words[i])
 	}
 	if fromL1 {
 		if l2e := m.l2.probe(e.addr, e.patt); l2e != nil {
@@ -98,9 +90,10 @@ func (m *Model) probeOtherL1s(core int, line addrmap.Addr, patt gsdram.Pattern) 
 // invalidateOverlaps drops other-pattern lines overlapping a store from
 // every cache, writing back dirty ones first (§4.1 store rule).
 func (m *Model) invalidateOverlaps(line addrmap.Addr, patt, alt gsdram.Pattern) {
-	addrs, other := m.overlaps(line, patt, alt)
-	for _, oa := range addrs {
-		for i, c := range m.cachesInOrder() {
+	var other gsdram.Pattern
+	m.ovAddrs, other = m.overlaps(m.ovAddrs, line, patt, alt)
+	for _, oa := range m.ovAddrs {
+		for i, c := range m.caches {
 			if e := c.probe(oa, other); e != nil {
 				if e.dirty {
 					m.writebackEntry(e, i < len(m.l1))
@@ -114,9 +107,10 @@ func (m *Model) invalidateOverlaps(line addrmap.Addr, patt, alt gsdram.Pattern) 
 // flushOverlaps writes back dirty other-pattern lines overlapping a fetch,
 // leaving them resident but clean (§4.1 fetch rule).
 func (m *Model) flushOverlaps(line addrmap.Addr, patt, alt gsdram.Pattern) {
-	addrs, other := m.overlaps(line, patt, alt)
-	for _, oa := range addrs {
-		for i, c := range m.cachesInOrder() {
+	var other gsdram.Pattern
+	m.ovAddrs, other = m.overlaps(m.ovAddrs, line, patt, alt)
+	for _, oa := range m.ovAddrs {
+		for i, c := range m.caches {
 			if e := c.probe(oa, other); e != nil && e.dirty {
 				m.writebackEntry(e, i < len(m.l1))
 				e.dirty = false
@@ -127,12 +121,18 @@ func (m *Model) flushOverlaps(line addrmap.Addr, patt, alt gsdram.Pattern) {
 
 // buildEntry gathers (line, patt) from flat memory.
 func (m *Model) buildEntry(line addrmap.Addr, patt gsdram.Pattern) *entry {
-	addrs, logical := m.gather(line, patt)
-	words := make([]uint64, len(addrs))
-	for i, wa := range addrs {
-		words[i] = m.mem[wa]
+	e := &entry{
+		addr:    line,
+		patt:    patt,
+		words:   make([]uint64, m.chips),
+		addrs:   make([]addrmap.Addr, m.chips),
+		logical: make([]int, m.chips),
 	}
-	return &entry{addr: line, patt: patt, words: words, addrs: addrs, logical: logical}
+	m.gather(line, patt, e.addrs, e.logical)
+	for i, wa := range e.addrs {
+		e.words[i] = m.word(wa)
+	}
+	return e
 }
 
 // access runs the full protocol for one operation and returns the L1
@@ -235,10 +235,10 @@ func (m *Model) StoreLine(core int, a addrmap.Addr, patt gsdram.Pattern, vals []
 
 // FlushCaches scatters every dirty line to flat memory, leaving cache
 // state untouched (entries stay resident and dirty). Use it before
-// PeekWord/ForEachWord/ChipWord for an end-of-program memory view;
-// snapshot CacheLines first if cache state is also being compared.
+// PeekWord/ChipWord for an end-of-program memory view; snapshot
+// CacheLines first if cache state is also being compared.
 func (m *Model) FlushCaches() {
-	for i, c := range m.cachesInOrder() {
+	for i, c := range m.caches {
 		fromL1 := i < len(m.l1)
 		c.forEachEntry(func(e *entry) {
 			if e.dirty {

@@ -34,8 +34,8 @@ func (m *Model) checkIndexed(a addrmap.Addr) error {
 
 // altCovering returns the alternate-pattern line whose gather covers the
 // word at a, found by literal search: every issued column of the
-// pattern-aligned column group is gathered (via the stage-by-stage
-// network model) and checked for membership — the inverse-free
+// pattern-aligned column group is gathered (through the network's
+// truth table) and checked for membership — the inverse-free
 // counterpart of the simulator's closed-form gatherLine.
 func (m *Model) altCovering(a addrmap.Addr, alt gsdram.Pattern) (addrmap.Addr, bool) {
 	l := m.locate(a)
@@ -46,8 +46,8 @@ func (m *Model) altCovering(a addrmap.Addr, alt gsdram.Pattern) (addrmap.Addr, b
 		cl := l
 		cl.col, cl.word = c, 0
 		la := m.compose(cl)
-		addrs, _ := m.gather(la, alt)
-		for _, x := range addrs {
+		m.gather(la, alt, m.gAddrs, m.gLogical)
+		for _, x := range m.gAddrs {
 			if x == wa {
 				return la, true
 			}
@@ -70,7 +70,7 @@ func (m *Model) reconcileElem(a addrmap.Addr, write bool) {
 
 // reconcileLine applies the per-line rule across the hierarchy.
 func (m *Model) reconcileLine(la addrmap.Addr, p gsdram.Pattern, write bool) {
-	for i, c := range m.cachesInOrder() {
+	for i, c := range m.caches {
 		e := c.probe(la, p)
 		if e == nil {
 			continue
@@ -101,7 +101,7 @@ func (m *Model) GatherV(addrs []addrmap.Addr, dst []uint64) error {
 		m.reconcileElem(a, false)
 	}
 	for i, a := range addrs {
-		dst[i] = m.mem[a&^7]
+		dst[i] = m.word(a)
 	}
 	return nil
 }
@@ -121,7 +121,7 @@ func (m *Model) ScatterV(addrs []addrmap.Addr, vals []uint64) error {
 		m.reconcileElem(a, true)
 	}
 	for i, a := range addrs {
-		m.mem[a&^7] = vals[i]
+		m.setWord(a, vals[i])
 	}
 	return nil
 }

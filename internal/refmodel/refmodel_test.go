@@ -1,6 +1,7 @@
 package refmodel
 
 import (
+	"fmt"
 	"testing"
 
 	"gsdram/internal/addrmap"
@@ -135,6 +136,58 @@ func TestChipWordLayout(t *testing.T) {
 	}
 }
 
+// gatherMismatch loads every line of a pattmalloc'd page through both of
+// its patterns, on the machine and on a model (passed to tamper first,
+// if non-nil), and describes the first position whose logical index or
+// value differs; it returns "" when the two agree everywhere.
+func gatherMismatch(t *testing.T, spec addrmap.Spec, gs gsdram.Params, alt gsdram.Pattern, tamper func(*Model)) string {
+	t.Helper()
+	mach, err := machine.New(spec, gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := mach.AS.PattMalloc(PageSize, alt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newModel(t, spec, gs, 1)
+	if tamper != nil {
+		tamper(m)
+	}
+	if err := m.SetRegion(base, PageSize, Page{Shuffled: true, Alt: alt}); err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < PageSize; b += 8 {
+		a := base + addrmap.Addr(b)
+		if err := mach.WriteWord(a, valueAt(a)); err != nil {
+			t.Fatal(err)
+		}
+		m.InitWord(a, valueAt(a))
+	}
+	simVals := make([]uint64, gs.Chips)
+	refVals := make([]uint64, gs.Chips)
+	for off := 0; off < PageSize; off += spec.LineBytes {
+		a := base + addrmap.Addr(off)
+		for _, patt := range []gsdram.Pattern{0, alt} {
+			simIdx, err := mach.ReadLineIndices(a, patt, simVals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refIdx, err := m.LoadLine(0, a, patt, refVals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range simVals {
+				if simIdx[i] != refIdx[i] || simVals[i] != refVals[i] {
+					return fmt.Sprintf("line %#x patt %d pos %d: sim (idx %d, %#x) vs ref (idx %d, %#x)",
+						uint64(a), patt, i, simIdx[i], simVals[i], refIdx[i], refVals[i])
+				}
+			}
+		}
+	}
+	return ""
+}
+
 // TestModelVsMachineGather diff-checks the model's gather math — built
 // from a literal network simulation and div/mod address splitting —
 // against the machine's closed-form plan tables, over every column and
@@ -152,46 +205,30 @@ func TestModelVsMachineGather(t *testing.T) {
 		{"gs844/alt3", spec844, gsdram.GS844, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mach, err := machine.New(tc.spec, tc.gs)
-			if err != nil {
-				t.Fatal(err)
+			if d := gatherMismatch(t, tc.spec, tc.gs, tc.alt, nil); d != "" {
+				t.Fatal(d)
 			}
-			base, err := mach.AS.PattMalloc(PageSize, tc.alt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := newModel(t, tc.spec, tc.gs, 1)
-			if err := m.SetRegion(base, PageSize, Page{Shuffled: true, Alt: tc.alt}); err != nil {
-				t.Fatal(err)
-			}
-			for b := 0; b < PageSize; b += 8 {
-				a := base + addrmap.Addr(b)
-				if err := mach.WriteWord(a, valueAt(a)); err != nil {
-					t.Fatal(err)
-				}
-				m.InitWord(a, valueAt(a))
-			}
-			lb := tc.spec.LineBytes
-			simVals := make([]uint64, tc.gs.Chips)
-			refVals := make([]uint64, tc.gs.Chips)
-			for off := 0; off < PageSize; off += lb {
-				a := base + addrmap.Addr(off)
-				for _, patt := range []gsdram.Pattern{0, tc.alt} {
-					simIdx, err := mach.ReadLineIndices(a, patt, simVals)
-					if err != nil {
-						t.Fatal(err)
-					}
-					refIdx, err := m.LoadLine(0, a, patt, refVals)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range simVals {
-						if simIdx[i] != refIdx[i] || simVals[i] != refVals[i] {
-							t.Fatalf("line %#x patt %d pos %d: sim (idx %d, %#x) vs ref (idx %d, %#x)",
-								uint64(a), patt, i, simIdx[i], simVals[i], refIdx[i], refVals[i])
-						}
-					}
-				}
+		})
+	}
+}
+
+// TestTruthTablesAreChecked corrupts the model's circuit truth tables —
+// two entries of one row of the network's, or one widened chip ID of the
+// CTL's — and requires the model-vs-machine gather comparison to report
+// it: the tables New builds are on the path the oracle checks with.
+func TestTruthTablesAreChecked(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tamper func(*Model)
+	}{
+		{"perm", func(m *Model) { row := m.perm[1]; row[0], row[1] = row[1], row[0] }},
+		{"wide", func(m *Model) { m.wide[1] ^= 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if d := gatherMismatch(t, spec844, gsdram.GS844, 7, tc.tamper); d == "" {
+				t.Fatal("corrupted truth table went unnoticed")
+			} else {
+				t.Log(d)
 			}
 		})
 	}
@@ -275,12 +312,12 @@ func TestOverlapSetsMatchBothDirections(t *testing.T) {
 	}
 	for c := 0; c < spec844.Cols; c++ {
 		a := addrmap.Addr(c * lb)
-		pattOv, other := m.overlaps(a, alt, alt)
+		pattOv, other := m.overlaps(nil, a, alt, alt)
 		if other != 0 {
 			t.Fatalf("patterned overlap partner pattern = %d, want 0", other)
 		}
 		for _, oa := range pattOv {
-			defOv, defOther := m.overlaps(oa, 0, alt)
+			defOv, defOther := m.overlaps(nil, oa, 0, alt)
 			if defOther != alt {
 				t.Fatalf("default overlap partner pattern = %d, want %d", defOther, alt)
 			}

@@ -201,6 +201,7 @@ func RunFunctional(p Program) (*Result, uint64, error) {
 		patt := p.Pattern(op)
 		rec := &res.Records[gi]
 		rec.Addr, rec.Patt = addr, patt
+		var addrs []addrmap.Addr // an indexed op's elements, also its core op's
 		switch op.Kind {
 		case OpLoad:
 			v, err := mach.ReadWord(addr)
@@ -224,14 +225,14 @@ func RunFunctional(p Program) (*Result, uint64, error) {
 				return nil, 0, fmt.Errorf("op %d (%s %#x): %w", gi, op.Kind, uint64(addr), err)
 			}
 		case OpGatherV:
-			addrs := idxAddrs(addr, op.Idx)
+			addrs = idxAddrs(addr, op.Idx)
 			dst := make([]uint64, len(addrs))
 			if err := mach.GatherV(addrs, dst); err != nil {
 				return nil, 0, fmt.Errorf("op %d (%s %#x): %w", gi, op.Kind, uint64(addr), err)
 			}
 			rec.Vals = dst
 		case OpScatterV:
-			addrs := idxAddrs(addr, op.Idx)
+			addrs = idxAddrs(addr, op.Idx)
 			if err := mach.ScatterV(addrs, scatterVals(len(addrs), op.Val)); err != nil {
 				return nil, 0, fmt.Errorf("op %d (%s %#x): %w", gi, op.Kind, uint64(addr), err)
 			}
@@ -247,7 +248,7 @@ func RunFunctional(p Program) (*Result, uint64, error) {
 			}
 			f.Exec(op.Core, cpu.Op{
 				Kind:       kind,
-				Addrs:      idxAddrs(addr, op.Idx),
+				Addrs:      addrs,
 				Shuffled:   fl.Shuffled,
 				AltPattern: fl.AltPattern,
 				PC:         uint64(gi),

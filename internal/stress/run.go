@@ -256,6 +256,7 @@ func (p *Program) stream(opIdx []int, bases []addrmap.Addr, mach *machine.Machin
 			*errOp = gi
 			return cpu.Op{}, false
 		}
+		var addrs []addrmap.Addr // an indexed op's elements, also its core op's
 		switch op.Kind {
 		case OpLoad:
 			v, err := mach.ReadWord(addr)
@@ -284,7 +285,7 @@ func (p *Program) stream(opIdx []int, bases []addrmap.Addr, mach *machine.Machin
 				return fail(err)
 			}
 		case OpGatherV:
-			addrs := idxAddrs(addr, op.Idx)
+			addrs = idxAddrs(addr, op.Idx)
 			dst := make([]uint64, len(addrs))
 			if err := mach.GatherV(addrs, dst); err != nil {
 				return fail(err)
@@ -294,7 +295,7 @@ func (p *Program) stream(opIdx []int, bases []addrmap.Addr, mach *machine.Machin
 				rec.Vals[0], rec.Vals[1] = rec.Vals[1], rec.Vals[0]
 			}
 		case OpScatterV:
-			addrs := idxAddrs(addr, op.Idx)
+			addrs = idxAddrs(addr, op.Idx)
 			if err := mach.ScatterV(addrs, scatterVals(len(addrs), op.Val)); err != nil {
 				return fail(err)
 			}
@@ -309,7 +310,7 @@ func (p *Program) stream(opIdx []int, bases []addrmap.Addr, mach *machine.Machin
 			}
 			mop = cpu.Op{
 				Kind:       kind,
-				Addrs:      idxAddrs(addr, op.Idx),
+				Addrs:      addrs,
 				Shuffled:   fl.Shuffled,
 				AltPattern: fl.AltPattern,
 				PC:         uint64(gi),

@@ -129,21 +129,25 @@ func DefaultOptions() Options { return bench.DefaultOptions() }
 func QuickOptions() Options   { return bench.QuickOptions() }
 
 // TelemetryCapture collects telemetry — per-run metrics registries, the
-// epoch time-series, DRAM command and core stall-phase traces — for one
-// batch of experiment runs. Set one on Options.Capture, run the batch,
-// then call Drain for the captured runs. Captures are per-batch, not
-// session-global: concurrent batches with independent captures record
-// independently, with no cross-talk and no serialization. Telemetry
-// observes without mutating, so results are bit-identical either way;
-// it is off by default (nil Options.Capture) because the capture
-// buffers cost memory.
+// epoch time-series, and each rig's event log of DRAM commands, core
+// stall phases and request lifecycles — for one batch of experiment
+// runs. Set one on Options.Capture, run the batch, then call Drain for
+// the captured runs. Captures are per-batch, not session-global:
+// concurrent batches with independent captures record independently,
+// with no cross-talk and no serialization. Telemetry observes without
+// mutating, so results are bit-identical either way; it is off by
+// default (nil Options.Capture) because the event logs cost memory.
 type TelemetryCapture = bench.Capture
 
 // NewTelemetryCapture returns an empty capture context. epochCycles is
 // the time-series sampling interval (0 = the default 100k cycles).
 func NewTelemetryCapture(epochCycles uint64) *TelemetryCapture { return bench.NewCapture(epochCycles) }
 
-// TelemetryRun is one run's captured telemetry (see internal/telemetry).
+// TelemetryRun is one run's captured telemetry (see internal/telemetry):
+// its label, metrics registry, epoch series, per-core busy spans, latency
+// recorder and end cycle, plus Log, the rig's event log (internal/flight).
+// The log's heads hold the first DRAM commands, stall phases and request
+// lifecycles, and its seen counts say how many there were in all.
 type TelemetryRun = telemetry.Run
 
 // Fig9Result and Fig10Result are the structured results of the headline

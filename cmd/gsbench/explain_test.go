@@ -196,7 +196,7 @@ func TestGateExplainFlag(t *testing.T) {
 	oldPath := writeGateFile(t, "old.json", mk(100_000, 40_000))
 	newPath := writeGateFile(t, "new.json", mk(130_000, 68_000))
 	var out strings.Builder
-	if err := benchGate([]string{"-wall-tol", "0", "-explain", oldPath, newPath}, &out); err == nil {
+	if err := benchGate([]string{"-explain", oldPath, newPath}, &out); err == nil {
 		t.Fatalf("regressed run passed the gate:\n%s", out.String())
 	}
 	text := out.String()

@@ -13,14 +13,13 @@ import (
 type gateArgs struct {
 	old, new string
 	tol      float64 // simulated-cycle tolerance, percent
-	wallTol  float64 // wall-clock tolerance, percent; 0 disables
 	explain  bool    // run `gsbench explain` on the pair when the gate fails
 }
 
-// parseGateArgs scans args for -tol/-wall-tol (either "-tol 5" or
-// "-tol=5"), the boolean -explain, and two positional file names.
+// parseGateArgs scans args for -tol (either "-tol 5" or "-tol=5"), the
+// boolean -explain, and two positional file names.
 func parseGateArgs(args []string) (gateArgs, error) {
-	ga := gateArgs{tol: 5, wallTol: 200}
+	ga := gateArgs{tol: 5}
 	var files []string
 	for i := 0; i < len(args); i++ {
 		a := args[i]
@@ -43,7 +42,7 @@ func parseGateArgs(args []string) (gateArgs, error) {
 			} else {
 				ga.explain = true
 			}
-		case "tol", "wall-tol":
+		case "tol":
 			if !strings.HasPrefix(a, "-") {
 				files = append(files, a)
 				continue
@@ -59,20 +58,16 @@ func parseGateArgs(args []string) (gateArgs, error) {
 			if err != nil || f < 0 {
 				return ga, fmt.Errorf("bench-gate: bad %s value %q", name, val)
 			}
-			if strings.TrimLeft(name, "-") == "tol" {
-				ga.tol = f
-			} else {
-				ga.wallTol = f
-			}
+			ga.tol = f
 		default:
 			if strings.HasPrefix(a, "-") {
-				return ga, fmt.Errorf("bench-gate: unknown flag %s (usage: gsbench bench-gate [-tol PCT] [-wall-tol PCT] [-explain] OLD.json NEW.json)", a)
+				return ga, fmt.Errorf("bench-gate: unknown flag %s (usage: gsbench bench-gate [-tol PCT] [-explain] OLD.json NEW.json)", a)
 			}
 			files = append(files, a)
 		}
 	}
 	if len(files) != 2 {
-		return ga, fmt.Errorf("bench-gate: want exactly 2 files, got %d (usage: gsbench bench-gate [-tol PCT] [-wall-tol PCT] [-explain] OLD.json NEW.json)", len(files))
+		return ga, fmt.Errorf("bench-gate: want exactly 2 files, got %d (usage: gsbench bench-gate [-tol PCT] [-explain] OLD.json NEW.json)", len(files))
 	}
 	ga.old, ga.new = files[0], files[1]
 	return ga, nil
@@ -82,10 +77,10 @@ func parseGateArgs(args []string) (gateArgs, error) {
 // NEW's simulated end cycles run by run against the OLD baseline
 // (typically the committed BENCH_seed.json) and fail when any run
 // regresses beyond -tol percent. Simulated cycles are deterministic, so
-// a small tolerance only absorbs intentional modelling changes;
-// wall-clock time is machine-dependent and gated separately by the
-// generous -wall-tol (0 disables it). A run present in OLD but missing
-// from NEW also fails: coverage loss is a regression.
+// a small tolerance only absorbs intentional modelling changes. Host
+// cost is not gated here: wall time is one noisy sample per experiment,
+// and gsperf compare gates it from repeated runs. A run present in OLD
+// but missing from NEW also fails: coverage loss is a regression.
 func benchGate(args []string, w io.Writer) error {
 	ga, err := parseGateArgs(args)
 	if err != nil {
@@ -106,9 +101,7 @@ func benchGate(args []string, w io.Writer) error {
 func gateFiles(w io.Writer, ga gateArgs, oldF, newF *diffFile) error {
 	type runKey struct{ exp, label string }
 	newCycles := map[runKey]uint64{}
-	newWall := map[string]int64{}
 	for _, e := range newF.Experiments {
-		newWall[e.Experiment] = e.WallNS
 		for _, t := range e.Telemetry {
 			newCycles[runKey{e.Experiment, t.Label}] = t.EndCycle
 		}
@@ -131,17 +124,6 @@ func gateFiles(w io.Writer, ga gateArgs, oldF, newF *diffFile) error {
 					k.exp, k.label, nc, t.EndCycle,
 					100*(float64(nc)/float64(t.EndCycle)-1), ga.tol)
 				regressions++
-			}
-		}
-		if ga.wallTol > 0 && e.WallNS > 0 {
-			if nw, ok := newWall[e.Experiment]; ok {
-				limit := float64(e.WallNS) * (1 + ga.wallTol/100)
-				if float64(nw) > limit {
-					fmt.Fprintf(w, "FAIL %s: wall %.2fms vs baseline %.2fms (+%.1f%% > %.1f%%)\n",
-						e.Experiment, float64(nw)/1e6, float64(e.WallNS)/1e6,
-						100*(float64(nw)/float64(e.WallNS)-1), ga.wallTol)
-					regressions++
-				}
 			}
 		}
 	}

@@ -32,11 +32,11 @@ func writeGateFile(t *testing.T, name, content string) string {
 }
 
 func TestParseGateArgs(t *testing.T) {
-	ga, err := parseGateArgs([]string{"old.json", "new.json", "-tol", "2.5", "-wall-tol=0"})
+	ga, err := parseGateArgs([]string{"old.json", "new.json", "-tol=2.5"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ga.old != "old.json" || ga.new != "new.json" || ga.tol != 2.5 || ga.wallTol != 0 {
+	if ga.old != "old.json" || ga.new != "new.json" || ga.tol != 2.5 {
 		t.Fatalf("parsed %+v", ga)
 	}
 	if _, err := parseGateArgs([]string{"one.json"}); err == nil {
@@ -45,12 +45,16 @@ func TestParseGateArgs(t *testing.T) {
 	if _, err := parseGateArgs([]string{"-bogus", "a", "b"}); err == nil {
 		t.Fatal("want error for unknown flag")
 	}
+	// bench-gate gates simulated results only; wall time has no flag.
+	if _, err := parseGateArgs([]string{"a", "b", "-wall-tol", "0"}); err == nil || !strings.Contains(err.Error(), "unknown flag -wall-tol") {
+		t.Fatalf("-wall-tol: got %v, want an unknown-flag error", err)
+	}
 	if _, err := parseGateArgs([]string{"a", "b", "-tol"}); err == nil {
 		t.Fatal("want error for dangling -tol")
 	}
 	// Defaults.
 	ga, err = parseGateArgs([]string{"a", "b"})
-	if err != nil || ga.tol != 5 || ga.wallTol != 200 {
+	if err != nil || ga.tol != 5 {
 		t.Fatalf("defaults: %+v, %v", ga, err)
 	}
 }
@@ -61,7 +65,7 @@ func TestBenchGatePassAndFail(t *testing.T) {
 	// Within tolerance (+4% cycles) passes.
 	pass := writeGateFile(t, "pass.json", gateDoc(104_000, 1_500_000))
 	var out strings.Builder
-	if err := benchGate([]string{old, pass, "-tol", "5", "-wall-tol", "0"}, &out); err != nil {
+	if err := benchGate([]string{old, pass, "-tol", "5"}, &out); err != nil {
 		t.Fatalf("within-tolerance gate failed: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "OK") {
@@ -71,7 +75,7 @@ func TestBenchGatePassAndFail(t *testing.T) {
 	// Beyond tolerance (+10% cycles) fails.
 	fail := writeGateFile(t, "fail.json", gateDoc(110_000, 1_000_000))
 	out.Reset()
-	if err := benchGate([]string{old, fail, "-tol", "5", "-wall-tol", "0"}, &out); err == nil {
+	if err := benchGate([]string{old, fail, "-tol", "5"}, &out); err == nil {
 		t.Fatalf("regressed run passed the gate:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "FAIL fig9") {
@@ -81,23 +85,15 @@ func TestBenchGatePassAndFail(t *testing.T) {
 	// Faster is always fine.
 	faster := writeGateFile(t, "faster.json", gateDoc(50_000, 500_000))
 	out.Reset()
-	if err := benchGate([]string{old, faster, "-tol", "0", "-wall-tol", "0"}, &out); err != nil {
+	if err := benchGate([]string{old, faster, "-tol", "0"}, &out); err != nil {
 		t.Fatalf("improvement failed the gate: %v", err)
 	}
-}
 
-func TestBenchGateWallClock(t *testing.T) {
-	old := writeGateFile(t, "old.json", gateDoc(100_000, 1_000_000))
-	// Same cycles, 4x the wall time: fails the default 200% wall gate.
+	// Same cycles at 4x the wall time passes: wall time is not gated.
 	slow := writeGateFile(t, "slow.json", gateDoc(100_000, 4_000_000))
-	var out strings.Builder
-	if err := benchGate([]string{old, slow}, &out); err == nil {
-		t.Fatalf("4x wall-clock passed the 200%% gate:\n%s", out.String())
-	}
-	// -wall-tol 0 disables the wall gate.
 	out.Reset()
-	if err := benchGate([]string{old, slow, "-wall-tol", "0"}, &out); err != nil {
-		t.Fatalf("wall gate not disabled by -wall-tol 0: %v", err)
+	if err := benchGate([]string{old, slow, "-tol", "0"}, &out); err != nil {
+		t.Fatalf("wall time failed the gate: %v\n%s", err, out.String())
 	}
 }
 

@@ -17,7 +17,7 @@
 //	gsbench sample-validate [-min-speedup X] [-max-error PCT] [-json FILE]
 //	        [workload and sampling flags]
 //	gsbench metrics-diff [-all] OLD.json NEW.json
-//	gsbench bench-gate [-tol PCT] [-wall-tol PCT] [-explain] OLD.json NEW.json
+//	gsbench bench-gate [-tol PCT] [-explain] OLD.json NEW.json
 //	gsbench explain [-top N] [-json FILE] OLD.json NEW.json
 //	gsbench stress [-seed S] [-count N] [-shrink] [-workers N] [-noinline]
 //	        [-xmodes] [-indexed] [-pseed P]
@@ -61,10 +61,10 @@
 //
 // gsbench bench-gate compares NEW.json against a committed baseline
 // (BENCH_seed.json) and exits nonzero when any run's simulated end cycle
-// regresses by more than -tol percent (default 5). Wall-clock time is
-// gated separately by -wall-tol (default 200, generous because CI
-// machines vary; 0 disables the wall gate). With -explain, a failing
-// gate also prints the explain diagnosis of the pair before exiting.
+// regresses by more than -tol percent (default 5). It gates simulated
+// results only; host cost is gsperf compare's job. With -explain, a
+// failing gate also prints the explain diagnosis of the pair before
+// exiting.
 //
 // gsbench explain is the differential root-cause analyzer (DESIGN.md
 // §5.11): given two -json documents it decomposes every matched run's
@@ -75,13 +75,14 @@
 // window where the two time-series start to diverge. -json writes the
 // machine-readable verdict ("-" = stdout).
 //
-// With -flight-out FILE, every run's flight recorder — a bounded,
-// deterministic ring of recent microarchitectural events per component
-// (DDR commands, cache fills/writebacks, coherence actions, coalescer
-// burst decisions, MSHR traffic, core memory ops) — is dumped to FILE
-// as NDJSON after the experiments complete. -flight-depth sets the
-// per-component ring depth (default 256 events). Recording is
-// observation-only: results are bit-identical with and without it.
+// With -flight-out FILE, every run's flight recorder — the bounded,
+// deterministic tail of recent microarchitectural events per component
+// in the rig's event log (DDR commands, cache fills/writebacks,
+// coherence actions, coalescer burst decisions, MSHR traffic, core
+// memory ops) — is dumped to FILE as NDJSON after the experiments
+// complete. -flight-depth sets the per-component tail depth (default
+// 256 events). Recording is observation-only: results are
+// bit-identical with and without it.
 //
 // -l2-latency N overrides the L2 hit latency in cycles (0 = the model
 // default). It is an ablation knob: unlike telemetry it changes
@@ -220,8 +221,8 @@ func main() {
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event / Perfetto JSON of all telemetered runs to FILE")
 		promOut     = flag.String("prom-out", "", "write the final metrics of all telemetered runs in Prometheus text format to FILE")
 		epoch       = flag.Uint64("epoch", uint64(telemetry.DefaultEpoch), "telemetry sampling interval in CPU cycles")
-		flightOut   = flag.String("flight-out", "", "dump every run's flight-recorder rings (recent microarchitectural events) to FILE as NDJSON")
-		flightDepth = flag.Int("flight-depth", flight.DefaultDepth, "per-component flight-recorder ring depth (events kept per ring)")
+		flightOut   = flag.String("flight-out", "", "dump every run's flight-recorder tails (recent microarchitectural events) to FILE as NDJSON")
+		flightDepth = flag.Int("flight-depth", flight.DefaultDepth, "per-component flight-recorder tail depth (events kept per component)")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf     = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -286,19 +287,25 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		traceRuns = append(traceRuns, out.Runs...)
+		// Keep a run's capture only for an export that asks for it: each
+		// one holds its whole rig alive until the batch is written out.
+		if *traceOut != "" {
+			traceRuns = append(traceRuns, out.Runs...)
+		}
 		for _, fr := range out.Flight {
-			// Prefix the run label with the experiment so rings from
+			// Prefix the run label with the experiment so logs from
 			// different experiments stay distinguishable in one dump.
 			flightRecs = append(flightRecs, flight.LabeledRecorder{
 				Label: name + "/" + fr.Label, Rec: fr.Rec,
 			})
 		}
-		for _, r := range out.Runs {
-			promRegs = append(promRegs, metrics.LabeledRegistry{
-				Labels: map[string]string{"experiment": name, "run": r.Label},
-				Reg:    r.Registry,
-			})
+		if *promOut != "" {
+			for _, r := range out.Runs {
+				promRegs = append(promRegs, metrics.LabeledRegistry{
+					Labels: map[string]string{"experiment": name, "run": r.Label},
+					Reg:    r.Registry,
+				})
+			}
 		}
 		if *jsonOut != "" {
 			records = append(records, out.Record())

@@ -165,7 +165,7 @@ func stressCmd(args []string) error {
 // re-run is deterministic, so the recorded events are exactly those of
 // the failing run.
 func writeStressFlight(p stress.Program, opts stress.Options, path string) error {
-	rec := flight.New(flight.DefaultDepth)
+	rec := flight.New(0, 0, 0, flight.DefaultDepth)
 	opts.Flight = rec
 	res, err := stress.Run(p, opts)
 	if err != nil {

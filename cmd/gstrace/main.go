@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	gstrace [-chips 8] [-stages 3] [-pbits 3] [-pattern 7] [-col 0] [-cols 8]
+//	gstrace [-chips 8] [-stages 3] [-pbits 3] [-pattern 7] [-col 0] [-cols 8] [-trace]
 //
 // With no arguments it walks the paper's GS-DRAM(4,2,2) example.
 package main
@@ -20,7 +20,6 @@ import (
 	"gsdram/internal/memctrl"
 	"gsdram/internal/sim"
 	"gsdram/internal/stats"
-	"gsdram/internal/trace"
 )
 
 func main() {
@@ -106,35 +105,30 @@ func main() {
 // few row-conflicting reads) against the Table 1 controller and prints
 // the captured command trace: the command-bus view of GS-DRAM in action.
 func dumpTrace() {
-	rec := trace.NewRecorder(0)
-	q := &sim.EventQueue{}
-	cfg := memctrl.DefaultConfig()
-	cfg.Observer = rec.Observe
-	c, err := memctrl.New(cfg, q)
+	evs, _, err := capture(func(c *memctrl.Controller, q *sim.EventQueue) {
+		loc := func(bank, row, col int) addrmap.Addr {
+			return addrmap.Default.Compose(addrmap.Loc{Bank: bank, Row: row, Col: col})
+		}
+		q.Schedule(0, func(now sim.Cycle) {
+			// A pattern-7 gather stream in bank 0...
+			for i := 0; i < 8; i++ {
+				c.Enqueue(now, &memctrl.Request{Addr: loc(0, 100, i*8), Pattern: 7})
+			}
+			// ...and row-conflicting traffic in bank 1.
+			for i := 0; i < 4; i++ {
+				c.Enqueue(now, &memctrl.Request{Addr: loc(1, 200+i, 0)})
+			}
+		})
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gstrace:", err)
 		os.Exit(1)
 	}
-	loc := func(bank, row, col int) addrmap.Addr {
-		return addrmap.Default.Compose(addrmap.Loc{Bank: bank, Row: row, Col: col})
-	}
-	q.Schedule(0, func(now sim.Cycle) {
-		// A pattern-7 gather stream in bank 0...
-		for i := 0; i < 8; i++ {
-			c.Enqueue(now, &memctrl.Request{Addr: loc(0, 100, i*8), Pattern: 7})
-		}
-		// ...and row-conflicting traffic in bank 1.
-		for i := 0; i < 4; i++ {
-			c.Enqueue(now, &memctrl.Request{Addr: loc(1, 200+i, 0)})
-		}
-	})
-	q.Run()
 
-	fmt.Println(trace.Summarize(rec.Events()).Table())
-	evs := rec.Events()
+	fmt.Println(Summarize(evs).Table())
 	if len(evs) > 0 {
 		end := evs[len(evs)-1].At + 1
-		fmt.Println(trace.Timeline(evs, 0, end, (end+199)/200))
+		fmt.Println(Timeline(evs, 0, end, (end+199)/200))
 	}
 }
 

@@ -208,8 +208,7 @@ func newRig(opts Options, label string, cfg memsys.Config) (*rig, error) {
 	}
 	r := &rig{q: &sim.EventQueue{}, tel: opts.Capture.forRig(label), noInline: opts.NoInline}
 	if t := r.tel; t != nil {
-		cfg.Metrics, cfg.Mem.Observer, cfg.Flight = t.reg, t.rec.Observe, t.flight
-		cfg.LatencyTraceCap = maxLatencyTraces
+		cfg.Metrics, cfg.Log = t.reg, t.log
 	}
 	mem, err := memsys.New(cfg, r.q)
 	if err != nil {

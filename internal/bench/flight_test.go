@@ -43,10 +43,10 @@ func TestFlightDoesNotPerturbResults(t *testing.T) {
 			}
 		}
 	}
-	// The drained telemetry runs carry their recorders too.
-	for _, r := range capture.Drain() {
-		if r.Flight == nil {
-			t.Errorf("%s: telemetry run has no flight recorder", r.Label)
+	// The drained telemetry runs carry the same logs.
+	for i, r := range capture.Drain() {
+		if r.Log != recs[i].Rec {
+			t.Errorf("%s: telemetry run does not carry its flight-armed log", r.Label)
 		}
 	}
 }
@@ -83,8 +83,8 @@ func TestFlightIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestFlightDisabledByDefault: without SetFlightDepth the capture hands
-// out no recorders and telemetry runs carry nil — the zero-overhead
-// default.
+// out no recorders and the telemetry runs' logs keep no tails — the
+// zero-overhead default.
 func TestFlightDisabledByDefault(t *testing.T) {
 	c := NewCapture(0)
 	opts := telemetryTestOpts(1)
@@ -96,8 +96,8 @@ func TestFlightDisabledByDefault(t *testing.T) {
 		t.Fatalf("got %d flight recorders without SetFlightDepth", len(recs))
 	}
 	for _, r := range c.Drain() {
-		if r.Flight != nil {
-			t.Errorf("%s: unexpected flight recorder", r.Label)
+		if r.Log.Depth() != 0 {
+			t.Errorf("%s: log keeps a tail without SetFlightDepth", r.Label)
 		}
 	}
 }

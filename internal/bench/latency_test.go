@@ -42,7 +42,7 @@ func TestLatencyCaptureDoesNotPerturbResults(t *testing.T) {
 		if rec.Seen() == 0 {
 			t.Errorf("%s: latency recorder observed no requests", r.Label)
 		}
-		if len(rec.Traces()) == 0 {
+		if len(r.Log.Requests()) == 0 {
 			t.Errorf("%s: no request traces captured", r.Label)
 		}
 		// Span-histogram conservation per pattern class.
@@ -109,7 +109,7 @@ func TestLatencyCaptureIdenticalAcrossWorkers(t *testing.T) {
 		if a.Label != b.Label {
 			t.Fatalf("label order differs: %q vs %q", a.Label, b.Label)
 		}
-		if !reflect.DeepEqual(a.Latency.Traces(), b.Latency.Traces()) {
+		if !reflect.DeepEqual(a.Log.Requests(), b.Log.Requests()) {
 			t.Errorf("%s: request traces differ across worker counts", a.Label)
 		}
 		if a.Latency.Seen() != b.Latency.Seen() {

@@ -11,12 +11,11 @@ import (
 	"gsdram/internal/metrics"
 	"gsdram/internal/sim"
 	"gsdram/internal/telemetry"
-	"gsdram/internal/trace"
 )
 
-// Capacity caps for the per-run capture buffers: enough for the quick
+// Head caps of every telemetered rig's event log: enough for the quick
 // experiment scales to be captured whole, bounded so paper-scale runs
-// cannot exhaust memory. Seen() counters record any truncation.
+// cannot exhaust memory. The log's seen counts record any truncation.
 const (
 	maxTraceCommands = 200_000
 	maxTracePhases   = 100_000
@@ -25,17 +24,17 @@ const (
 
 // Capture is one experiment batch's telemetry collection context: set it
 // on Options.Capture and every labelled rig the batch builds records a
-// per-run metrics registry, epoch time-series, DRAM command and stall
-// traces into it. Captures are independent — concurrent batches (e.g.
-// telemetered sweep points in one farm process) each drain exactly the
-// runs they produced, with no cross-talk and no global serialization.
+// per-run metrics registry, epoch time-series and event log into it.
+// Captures are independent — concurrent batches (e.g. telemetered sweep
+// points in one farm process) each drain exactly the runs they produced,
+// with no cross-talk and no global serialization.
 // A nil *Capture disables capture: rigs are built with a nil registry
-// and no observer, so the simulation pays nothing beyond the counter
+// and no event log, so the simulation pays nothing beyond the counter
 // increments it always performed.
 type Capture struct {
 	epoch sim.Cycle
-	// flightDepth > 0 additionally arms a flight recorder on every rig
-	// (last-K events per component; see internal/flight).
+	// flightDepth > 0 additionally keeps the last flightDepth events per
+	// component in every rig's log (see internal/flight).
 	flightDepth int
 
 	mu      sync.Mutex
@@ -51,15 +50,14 @@ func NewCapture(epochCycles uint64) *Capture {
 }
 
 // SetFlightDepth arms flight recording on every rig this capture
-// subsequently builds, keeping the last depth events per component
-// (flight.DefaultDepth if depth < 0 is not allowed; 0 disarms). Call
-// before the batch runs.
+// subsequently builds: each rig's log keeps the last depth events per
+// component (depth <= 0 disarms). Call before the batch runs.
 func (c *Capture) SetFlightDepth(depth int) { c.flightDepth = depth }
 
-// FlightRecorders returns the flight recorders of every rig the capture
-// armed so far, label-sorted, including rigs that have not finished —
-// so a dump after a panic still shows the events leading up to it.
-// Recorders belong to their rig's event loop; only read them once the
+// FlightRecorders returns the logs of every rig the capture armed with
+// flight recording so far, label-sorted, including rigs that have not
+// finished — so a dump after a panic still shows the events leading up
+// to it. Logs belong to their rig's event loop; only read them once the
 // batch has stopped running.
 func (c *Capture) FlightRecorders() []flight.LabeledRecorder {
 	c.mu.Lock()
@@ -93,49 +91,42 @@ type rigTelemetry struct {
 	owner   *Capture
 	label   string
 	reg     *metrics.Registry
-	rec     *trace.Recorder
-	phases  *telemetry.PhaseRecorder
+	log     *flight.Recorder
 	sampler *telemetry.Sampler
-	flight  *flight.Recorder
 }
 
-// forRig creates capture state for a labelled rig: the registry,
-// command recorder and (when armed) flight recorder to build its memory
-// system with. Returns nil — an untelemetered rig — when the batch has
-// no capture context or the run has no label; every method of a nil
-// *rigTelemetry is a no-op, so rigs call them unconditionally.
+// forRig creates capture state for a labelled rig: the registry and
+// event log to build its memory system with. Returns nil — an
+// untelemetered rig — when the batch has no capture context or the run
+// has no label; every method of a nil *rigTelemetry is a no-op, so rigs
+// call them unconditionally.
 func (c *Capture) forRig(label string) *rigTelemetry {
 	if c == nil || label == "" {
 		return nil
 	}
 	rt := &rigTelemetry{
-		owner:  c,
-		label:  label,
-		reg:    metrics.New(),
-		rec:    trace.NewRecorder(maxTraceCommands),
-		phases: telemetry.NewPhaseRecorder(maxTracePhases),
+		owner: c,
+		label: label,
+		reg:   metrics.New(),
+		log:   flight.New(maxTraceCommands, maxTracePhases, maxLatencyTraces, c.flightDepth),
 	}
 	if c.flightDepth > 0 {
-		rt.flight = flight.New(c.flightDepth)
 		c.mu.Lock()
-		c.flights = append(c.flights, flight.LabeledRecorder{Label: label, Rec: rt.flight})
+		c.flights = append(c.flights, flight.LabeledRecorder{Label: label, Rec: rt.log})
 		c.mu.Unlock()
 	}
 	return rt
 }
 
-// start completes registration — per-core counters and stall hooks
-// (cores[i] must have core ID i), the live energy gauges — and starts
-// the epoch sampler. Call after the cores are started, before the
-// queue runs.
+// start completes registration — per-core counters (cores[i] must have
+// core ID i), the live energy gauges — and starts the epoch sampler.
+// Call after the cores are started, before the queue runs.
 func (rt *rigTelemetry) start(r *rig, cores []*cpu.Core) {
 	if rt == nil {
 		return
 	}
 	for i, c := range cores {
 		c.RegisterMetrics(rt.reg, fmt.Sprintf("core.%d", i))
-		c.SetPhaseHook(rt.phases.HookFor(i))
-		c.SetFlightRecorder(rt.flight)
 	}
 	energy.RegisterLive(rt.reg, func() energy.Activity {
 		return r.activity(cores, r.q.Now())
@@ -152,15 +143,12 @@ func (rt *rigTelemetry) finish(r *rig, cores []*cpu.Core) {
 	}
 	rt.sampler.Finish(r.q.Now())
 	run := &telemetry.Run{
-		Label:        rt.label,
-		Registry:     rt.reg,
-		Series:       rt.sampler.Series(),
-		Phases:       rt.phases,
-		Commands:     rt.rec.Events(),
-		CommandsSeen: rt.rec.Seen(),
-		Latency:      r.mem.LatencyRecorder(),
-		Flight:       rt.flight,
-		End:          r.q.Now(),
+		Label:    rt.label,
+		Registry: rt.reg,
+		Series:   rt.sampler.Series(),
+		Latency:  r.mem.LatencyRecorder(),
+		Log:      rt.log,
+		End:      r.q.Now(),
 	}
 	for i, c := range cores {
 		st := c.Stats()

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gsdram/internal/flight"
 	"gsdram/internal/telemetry"
 )
 
@@ -48,7 +49,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 		if len(r.Series.Epochs) == 0 {
 			t.Errorf("%s: empty epoch series", r.Label)
 		}
-		if r.CommandsSeen == 0 || len(r.Commands) == 0 {
+		if r.Log.Seen(flight.CompDDR) == 0 || len(r.Log.Commands()) == 0 {
 			t.Errorf("%s: no DRAM commands captured", r.Label)
 		}
 		if len(r.Cores) != 1 || r.Cores[0].Finish == 0 {
@@ -84,10 +85,10 @@ func TestTelemetrySeriesIdenticalAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(a.Series, b.Series) {
 			t.Errorf("%s: epoch series differs across worker counts", a.Label)
 		}
-		if !reflect.DeepEqual(a.Commands, b.Commands) || a.CommandsSeen != b.CommandsSeen {
+		if !reflect.DeepEqual(a.Log.Commands(), b.Log.Commands()) || a.Log.Seen(flight.CompDDR) != b.Log.Seen(flight.CompDDR) {
 			t.Errorf("%s: DRAM command capture differs across worker counts", a.Label)
 		}
-		if !reflect.DeepEqual(a.Phases.Phases(), b.Phases.Phases()) {
+		if !reflect.DeepEqual(a.Log.Phases(), b.Log.Phases()) || a.Log.PhasesSeen() != b.Log.PhasesSeen() {
 			t.Errorf("%s: stall phases differ across worker counts", a.Label)
 		}
 		if !reflect.DeepEqual(a.Registry.Export(), b.Registry.Export()) {

@@ -179,16 +179,19 @@ type Core struct {
 	pendIssue sim.Cycle
 
 	// pendMiss marks the outstanding access as a DRAM-bound miss, so the
-	// resume path can report the stall interval to phaseHook. phaseHook
-	// (telemetry) receives the [from, to) interval of each miss stall; it
-	// is nil when telemetry is disabled, costing one predictable branch
-	// per miss.
-	pendMiss  bool
-	phaseHook func(from, to sim.Cycle)
+	// resume path can record the stall interval as a phase.
+	pendMiss bool
 
-	// flight, when non-nil, records every memory op the core issues into
-	// the rig's flight recorder (nil-safe methods, one branch per op).
-	flight *flight.Recorder
+	// log is the memory system's event log, nil when it has none. It
+	// receives the [from, to) interval of every DRAM-bound stall: miss
+	// fills and store-buffer full waits. The interval is the same whether
+	// the core runs inline or purely event-driven: cache-hit latencies
+	// are accounted as stall cycles but never recorded as phases. ops is
+	// the same log when it keeps component tails and nil otherwise; every
+	// issued memory op goes there, so the L1-hit path pays one nil check
+	// when ops are not recorded.
+	log *flight.Recorder
+	ops *flight.Recorder
 
 	// Store buffer: when enabled, stores retire into the buffer and drain
 	// asynchronously; the core only stalls when the buffer is full.
@@ -211,7 +214,10 @@ func NewWithStoreBuffer(id int, q *sim.EventQueue, mem *memsys.System, stream St
 	if stream == nil {
 		panic("cpu: nil stream")
 	}
-	c := &Core{id: id, q: q, mem: mem, stream: stream, onDone: onDone, sbCap: capacity}
+	c := &Core{id: id, q: q, mem: mem, stream: stream, onDone: onDone, sbCap: capacity, log: mem.Log()}
+	if c.log.Depth() > 0 {
+		c.ops = c.log
+	}
 	c.stepFn = c.step
 	c.resume = func(now sim.Cycle) {
 		if now < c.pendIssue {
@@ -219,8 +225,8 @@ func NewWithStoreBuffer(id int, q *sim.EventQueue, mem *memsys.System, stream St
 		}
 		if c.pendMiss {
 			c.pendMiss = false
-			if c.phaseHook != nil && now > c.pendIssue {
-				c.phaseHook(c.pendIssue, now)
+			if c.log != nil && now > c.pendIssue {
+				c.log.Phase(c.id, c.pendIssue, now)
 			}
 		}
 		c.ctr.MemStallCycles += metrics.Counter(now - c.pendIssue)
@@ -254,19 +260,6 @@ func (c *Core) RegisterMetrics(r *metrics.Registry, prefix string) {
 	r.RegisterCounter(prefix+".stores", &c.ctr.Stores)
 	r.RegisterCounter(prefix+".mem_stall_cycles", &c.ctr.MemStallCycles)
 }
-
-// SetPhaseHook installs a telemetry callback receiving the [from, to)
-// interval of every DRAM-bound stall (miss fills and store-buffer full
-// waits). The hook observes identical intervals whether the core runs
-// inline or purely event-driven: cache-hit latencies are accounted as
-// stall cycles but never reported as phases. Must be set before Start.
-func (c *Core) SetPhaseHook(fn func(from, to sim.Cycle)) { c.phaseHook = fn }
-
-// SetFlightRecorder arms the core's flight recorder: every issued memory
-// op (load, store, gatherv, scatterv) is recorded with its issue cycle
-// and address. A nil recorder (the default) disables recording. Must be
-// set before Start; recording never changes timing.
-func (c *Core) SetFlightRecorder(fr *flight.Recorder) { c.flight = fr }
 
 // Stop makes the core halt at the next instruction boundary — used by the
 // HTAP harness to end the transaction thread when analytics completes.
@@ -336,12 +329,12 @@ func (c *Core) step(now sim.Cycle) {
 			} else {
 				c.ctr.Loads++
 			}
-			if c.flight != nil {
+			if c.ops != nil {
 				k := flight.KindLoad
 				if isStore {
 					k = flight.KindStore
 				}
-				c.flight.CoreOp(t, k, c.id, uint64(op.Addr), op.Pattern, 0)
+				c.ops.CoreOp(t, k, c.id, uint64(op.Addr), op.Pattern, 0)
 			}
 			issue := t + 1
 			acc := memsys.Access{
@@ -364,8 +357,8 @@ func (c *Core) step(now sim.Cycle) {
 						c.sbWaiting = false
 						c.ctr.MemStallCycles += metrics.Counter(dt - issue)
 						c.mem.ChargeStoreBufferStall(c.id, dt-issue)
-						if c.phaseHook != nil && dt > issue {
-							c.phaseHook(issue, dt)
+						if c.log != nil && dt > issue {
+							c.log.Phase(c.id, issue, dt)
 						}
 						c.q.Schedule(dt, c.stepFn)
 					}
@@ -421,7 +414,7 @@ func (c *Core) step(now sim.Cycle) {
 			} else {
 				c.ctr.Loads++
 			}
-			if c.flight != nil {
+			if c.ops != nil {
 				k := flight.KindGatherV
 				if isStore {
 					k = flight.KindScatterV
@@ -430,7 +423,7 @@ func (c *Core) step(now sim.Cycle) {
 				if len(op.Addrs) > 0 {
 					first = uint64(op.Addrs[0])
 				}
-				c.flight.CoreOp(t, k, c.id, first, op.AltPattern, len(op.Addrs))
+				c.ops.CoreOp(t, k, c.id, first, op.AltPattern, len(op.Addrs))
 			}
 			issue := t + 1
 			va := memsys.VAccess{

@@ -86,9 +86,10 @@ func TestCoreStepL1HitZeroAllocs(t *testing.T) {
 
 // TestCoreStepL1HitZeroAllocsWithMetrics pins the telemetry design
 // point: with a metrics registry wired through the whole hierarchy and
-// a stall-phase hook installed, the hot path still performs zero heap
-// allocations — counters are plain struct fields the registry merely
-// points at, and the hook only fires on DRAM-bound stalls. (The epoch
+// an event log keeping heads but no tails, the hot path still performs
+// zero heap allocations — counters are plain struct fields the registry
+// merely points at, and the log's heads only grow on DRAM-bound events
+// and stalls. (The epoch
 // sampler is deliberately absent: it allocates one row per epoch, off
 // the hot path, and is exercised by the telemetry package's own tests.)
 func TestCoreStepL1HitZeroAllocsWithMetrics(t *testing.T) {
@@ -96,6 +97,7 @@ func TestCoreStepL1HitZeroAllocsWithMetrics(t *testing.T) {
 	reg := metrics.New()
 	cfg := memsys.DefaultConfig(1)
 	cfg.Metrics = reg
+	cfg.Log = flight.New(1000, 1000, 1000, 0)
 	mem, err := memsys.New(cfg, q)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +105,6 @@ func TestCoreStepL1HitZeroAllocsWithMetrics(t *testing.T) {
 	s := &hitStream{op: Load(0x40, 0x1)}
 	c := New(0, q, mem, s, nil)
 	c.RegisterMetrics(reg, "core.0")
-	c.SetPhaseHook(func(from, to sim.Cycle) {})
 	s.remaining = 64
 	c.Start(0)
 	q.Run()
@@ -135,21 +136,25 @@ func TestCoreStepL1HitZeroAllocsWithMetrics(t *testing.T) {
 	if rec.StallCycles(0, latency.StageL1Hit) == 0 {
 		t.Error("L1-hit stalls were not attributed")
 	}
+	if cfg.Log.PhasesSeen() != 1 || len(cfg.Log.Commands()) == 0 || len(cfg.Log.Requests()) != 1 {
+		t.Errorf("log heads: %d phases seen, %d commands, %d requests; want the one cold miss",
+			cfg.Log.PhasesSeen(), len(cfg.Log.Commands()), len(cfg.Log.Requests()))
+	}
 }
 
 // TestCoreStepL1HitZeroAllocsWithFlight pins the flight-recorder design
-// point: with a full metrics registry AND an armed flight recorder —
-// which records every core memory op into its ring — the L1-hit fast
-// path still performs zero heap allocations. The rings are fixed-size
-// arrays written in place; arming them must never cost the hot path an
+// point: with a full metrics registry AND an event log keeping component
+// tails — which record every core memory op — the L1-hit fast path
+// still performs zero heap allocations. The tails are fixed-size arrays
+// written in place; arming them must never cost the hot path an
 // allocation.
 func TestCoreStepL1HitZeroAllocsWithFlight(t *testing.T) {
 	q := &sim.EventQueue{}
 	reg := metrics.New()
-	fr := flight.New(flight.DefaultDepth)
+	fr := flight.New(1000, 1000, 1000, flight.DefaultDepth)
 	cfg := memsys.DefaultConfig(1)
 	cfg.Metrics = reg
-	cfg.Flight = fr
+	cfg.Log = fr
 	mem, err := memsys.New(cfg, q)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +162,6 @@ func TestCoreStepL1HitZeroAllocsWithFlight(t *testing.T) {
 	s := &hitStream{op: Load(0x40, 0x1)}
 	c := New(0, q, mem, s, nil)
 	c.RegisterMetrics(reg, "core.0")
-	c.SetFlightRecorder(fr)
 	s.remaining = 64
 	c.Start(0)
 	q.Run()

@@ -1,17 +1,20 @@
-// Package flight implements a bounded, deterministic flight recorder for
-// microarchitectural events: DDR commands, cache line transitions, §4.1
-// coherence actions, coalescer burst decisions, MSHR traffic, and core
-// memory-op issue. Each component records into its own fixed-capacity
-// ring, so a dump always shows the last K events per component leading up
-// to the point of interest — a divergence, a failed farm point, or the
-// end of a run — regardless of how long the simulation ran.
+// Package flight is a rig's event log: the one bounded, deterministic
+// store for every event stream the simulator captures. Each stream keeps
+// the first H records (its head), the last T records (its tail) and a
+// count of every record seen. DDR commands keep both: the head feeds the
+// Perfetto lanes and the tail feeds flight dumps. Stall phases and
+// request lifecycles keep only a head. Cache line transitions, §4.1
+// coherence actions, coalescer burst decisions, MSHR traffic and core
+// memory ops keep only a tail, so a dump shows the last T events per
+// component leading up to the point of interest — a divergence, a failed
+// farm point, or the end of a run — however long the simulation ran.
 //
-// Recording is branch-plus-store cheap and allocation-free: every record
-// method is a no-op on a nil *Recorder, so call sites guard with a single
-// nil check and the un-armed simulation pays nothing. Event ordering
-// within a component follows simulated time by construction (the
-// simulator processes events in cycle order), so dumps are bit-identical
-// across worker counts and inline/event-driven execution.
+// Tails are preallocated and heads grow by append up to their cap. Every
+// record method is a no-op on a nil *Recorder, so an un-armed simulation
+// pays one nil check. Events within a stream are recorded in simulated
+// time order (the simulator processes events in cycle order), so logs
+// are bit-identical across worker counts and inline/event-driven
+// execution.
 package flight
 
 import (
@@ -22,12 +25,14 @@ import (
 
 	"gsdram/internal/dram"
 	"gsdram/internal/gsdram"
+	"gsdram/internal/latency"
+	"gsdram/internal/memctrl"
 	"gsdram/internal/sim"
 )
 
 // Component identifies which part of the machine recorded an event. Each
-// component gets its own ring so a chatty component (DDR commands) cannot
-// evict the history of a quiet one (coherence actions).
+// component gets its own stream so a chatty component (DDR commands)
+// cannot evict the history of a quiet one (coherence actions).
 type Component uint8
 
 const (
@@ -111,7 +116,7 @@ func (k Kind) String() string {
 }
 
 // Event is one recorded occurrence. It is pointer-free and fixed-size so
-// rings are a single allocation and recording is a struct store. Fields
+// tails are a single allocation and recording is a struct store. Fields
 // that do not apply to a kind hold -1 (location fields) or 0.
 type Event struct {
 	At      sim.Cycle
@@ -126,95 +131,155 @@ type Event struct {
 	Kind    Kind
 }
 
-// ring is a wrap-around buffer keeping the last len(buf) events.
-type ring struct {
-	buf  []Event
-	next int
-	seen uint64
+// Phase is one core stall interval [From, To): the core issued a memory
+// operation at From that missed all the way to DRAM and resumed at To.
+type Phase struct {
+	Core     int
+	From, To sim.Cycle
 }
 
-func (r *ring) record(e Event) {
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
+// stream is one bounded event stream: it keeps the first headCap
+// records, the last len(tail) records, and a count of every record
+// seen. Either part may have no capacity.
+type stream[T any] struct {
+	head    []T
+	headCap int
+	tail    []T
+	next    int // tail slot the next record overwrites
+	seen    uint64
+}
+
+func newStream[T any](headCap, tailLen int) stream[T] {
+	return stream[T]{headCap: headCap, tail: make([]T, tailLen)}
+}
+
+func (s *stream[T]) record(v T) {
+	s.seen++
+	if len(s.head) < s.headCap {
+		s.head = append(s.head, v)
 	}
-	r.seen++
-}
-
-// snapshot returns the retained events oldest-first.
-func (r *ring) snapshot() []Event {
-	if r.seen >= uint64(len(r.buf)) {
-		out := make([]Event, 0, len(r.buf))
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-		return out
+	if len(s.tail) == 0 {
+		return
 	}
-	return append([]Event(nil), r.buf[:r.next]...)
+	s.tail[s.next] = v
+	s.next++
+	if s.next == len(s.tail) {
+		s.next = 0
+	}
 }
 
-// Recorder is one rig's flight recorder: NumComponents independent rings
-// of equal depth. All methods are safe on a nil receiver (and record
-// nothing), so an un-armed rig pays one nil check per potential event.
-// A Recorder is not safe for concurrent use; like the rig's metrics
-// registry, it belongs to exactly one event queue.
+// last returns the retained tail records oldest-first.
+func (s *stream[T]) last() []T {
+	if s.seen >= uint64(len(s.tail)) {
+		out := make([]T, 0, len(s.tail))
+		out = append(out, s.tail[s.next:]...)
+		return append(out, s.tail[:s.next]...)
+	}
+	return append([]T(nil), s.tail[:s.next]...)
+}
+
+// Recorder is one rig's event log: a tail of equal depth per component,
+// plus the heads of the DDR command, stall phase and request lifecycle
+// streams. All methods are safe on a nil receiver (and record nothing),
+// so an un-armed rig pays one nil check per potential event. A Recorder
+// is not safe for concurrent use; like the rig's metrics registry, it
+// belongs to exactly one event queue.
 type Recorder struct {
-	rings [NumComponents]ring
-	depth int
+	comps    [NumComponents]stream[Event]
+	phases   stream[Phase]
+	requests stream[latency.ReqTrace]
 }
 
-// DefaultDepth is the per-component ring capacity used when a dump is
+// DefaultDepth is the per-component tail depth used when a dump is
 // requested without an explicit depth.
 const DefaultDepth = 256
 
-// New returns a recorder keeping the last depth events per component
-// (DefaultDepth if depth <= 0).
-func New(depth int) *Recorder {
-	if depth <= 0 {
-		depth = DefaultDepth
+// New returns a log keeping the first commands DDR commands, the first
+// phases stall phases, the first requests request lifecycles, and the
+// last depth events of every component. A size <= 0 keeps nothing of
+// that part; seen counts are kept regardless.
+func New(commands, phases, requests, depth int) *Recorder {
+	r := &Recorder{
+		phases:   newStream[Phase](phases, 0),
+		requests: newStream[latency.ReqTrace](requests, 0),
 	}
-	r := &Recorder{depth: depth}
-	for i := range r.rings {
-		r.rings[i].buf = make([]Event, depth)
+	for c := range r.comps {
+		r.comps[c] = newStream[Event](0, max(depth, 0))
 	}
+	r.comps[CompDDR].headCap = commands
 	return r
 }
 
-// Depth returns the per-component ring capacity (0 on a nil recorder).
+// Depth returns the per-component tail depth (0 on a nil recorder).
 func (r *Recorder) Depth() int {
 	if r == nil {
 		return 0
 	}
-	return r.depth
+	return len(r.comps[CompDDR].tail)
 }
 
 // Seen returns the total number of events observed by a component,
-// including ones the ring has since dropped.
+// including ones the log has since dropped.
 func (r *Recorder) Seen(c Component) uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.rings[c].seen
+	return r.comps[c].seen
 }
 
-// Snapshot returns the retained events for one component, oldest first.
+// Snapshot returns the events in one component's tail, oldest first.
 func (r *Recorder) Snapshot(c Component) []Event {
 	if r == nil {
 		return nil
 	}
-	return r.rings[c].snapshot()
+	return r.comps[c].last()
+}
+
+// Commands returns the head of the DDR command stream in issue order;
+// Seen(CompDDR) counts every command.
+func (r *Recorder) Commands() []Event {
+	if r == nil {
+		return nil
+	}
+	return r.comps[CompDDR].head
+}
+
+// Phases returns the head of the stall phase stream in recording order.
+func (r *Recorder) Phases() []Phase {
+	if r == nil {
+		return nil
+	}
+	return r.phases.head
+}
+
+// PhasesSeen returns the number of stall phases observed, including any
+// beyond the head.
+func (r *Recorder) PhasesSeen() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.phases.seen
+}
+
+// Requests returns the head of the request lifecycle stream in
+// completion order.
+func (r *Recorder) Requests() []latency.ReqTrace {
+	if r == nil {
+		return nil
+	}
+	return r.requests.head
 }
 
 // Command records a DDR command (ACT/PRE/RD/WR/REF) leaving the
-// controller.
-func (r *Recorder) Command(at sim.Cycle, channel, rank, bank, row int, kind dram.CmdKind, patt gsdram.Pattern) {
+// controller. Its method value is the controller's observer.
+func (r *Recorder) Command(ev memctrl.CommandEvent) {
 	if r == nil {
 		return
 	}
-	r.rings[CompDDR].record(Event{
-		At: at, Kind: KindCommand, Core: -1,
-		Channel: int16(channel), Rank: int16(rank), Bank: int16(bank), Row: int32(row),
-		Pattern: patt, Aux: uint64(kind),
+	r.comps[CompDDR].record(Event{
+		At: ev.At, Kind: KindCommand, Core: -1,
+		Channel: int16(ev.Channel), Rank: int16(ev.Rank), Bank: int16(ev.Bank), Row: int32(ev.Row),
+		Pattern: ev.Pattern, Aux: uint64(ev.Kind),
 	})
 }
 
@@ -224,7 +289,7 @@ func (r *Recorder) CacheLine(at sim.Cycle, kind Kind, core, level int, addr uint
 	if r == nil {
 		return
 	}
-	r.rings[CompCache].record(Event{
+	r.comps[CompCache].record(Event{
 		At: at, Kind: kind, Core: int16(core),
 		Channel: -1, Rank: -1, Bank: -1, Row: -1,
 		Pattern: patt, Addr: addr, Aux: uint64(level),
@@ -237,7 +302,7 @@ func (r *Recorder) Coherence(at sim.Cycle, kind Kind, core int, addr uint64, pat
 	if r == nil {
 		return
 	}
-	r.rings[CompCoherence].record(Event{
+	r.comps[CompCoherence].record(Event{
 		At: at, Kind: kind, Core: int16(core),
 		Channel: -1, Rank: -1, Bank: -1, Row: -1,
 		Pattern: patt, Addr: addr,
@@ -254,7 +319,7 @@ func (r *Recorder) Burst(at sim.Cycle, core int, patterned bool, addr uint64, pa
 	if patterned {
 		kind = KindBurstPatterned
 	}
-	r.rings[CompCoalescer].record(Event{
+	r.comps[CompCoalescer].record(Event{
 		At: at, Kind: kind, Core: int16(core),
 		Channel: -1, Rank: -1, Bank: -1, Row: -1,
 		Pattern: patt, Addr: addr, Aux: uint64(lines),
@@ -268,7 +333,7 @@ func (r *Recorder) MSHR(at sim.Cycle, kind Kind, core int, addr uint64, patt gsd
 	if r == nil {
 		return
 	}
-	r.rings[CompMSHR].record(Event{
+	r.comps[CompMSHR].record(Event{
 		At: at, Kind: kind, Core: int16(core),
 		Channel: -1, Rank: -1, Bank: -1, Row: -1,
 		Pattern: patt, Addr: addr, Aux: uint64(aux),
@@ -281,10 +346,34 @@ func (r *Recorder) CoreOp(at sim.Cycle, kind Kind, core int, addr uint64, patt g
 	if r == nil {
 		return
 	}
-	r.rings[CompCore].record(Event{
+	r.comps[CompCore].record(Event{
 		At: at, Kind: kind, Core: int16(core),
 		Channel: -1, Rank: -1, Bank: -1, Row: -1,
 		Pattern: patt, Addr: addr, Aux: uint64(aux),
+	})
+}
+
+// Phase records a core stall interval [from, to) on a DRAM-bound access.
+func (r *Recorder) Phase(core int, from, to sim.Cycle) {
+	if r == nil {
+		return
+	}
+	r.phases.record(Phase{Core: core, From: from, To: to})
+}
+
+// Request records one waiter's completed DRAM-bound request: start is
+// the waiter's access time, unstall the cycle its continuation runs, rl
+// the request's stamped timestamps.
+func (r *Recorder) Request(core int, start, unstall sim.Cycle, coalesced, blocking bool, pattern int, rl *latency.ReqLat) {
+	if r == nil {
+		return
+	}
+	r.requests.record(latency.ReqTrace{
+		Core: core, Start: start, Unstall: unstall,
+		Enqueue: rl.Enqueue, FirstSched: rl.FirstSched, FirstCmd: rl.FirstCmd,
+		CAS: rl.CAS, Done: rl.Done,
+		Pattern: pattern, Coalesced: coalesced, Forwarded: rl.Forwarded, Blocking: blocking,
+		Channel: rl.Channel, Rank: rl.Rank, Bank: rl.Bank,
 	})
 }
 
@@ -335,12 +424,12 @@ func optInt(v int) *int {
 	return &n
 }
 
-// WriteNDJSON dumps the recorders as newline-delimited JSON: one meta
-// line, then every retained event oldest-first, grouped by label and
-// component. mark, when non-nil, flags events of interest (e.g. the
-// diverging access in a stress reproduction) with "mark":true. Recorders
-// that saw nothing still appear in the meta line, so an empty component
-// is distinguishable from a missing one.
+// WriteNDJSON dumps the recorders' component tails as newline-delimited
+// JSON: one meta line, then every retained event oldest-first, grouped
+// by label and component. mark, when non-nil, flags events of interest
+// (e.g. the diverging access in a stress reproduction) with "mark":true.
+// Recorders that saw nothing still appear in the meta line, so an empty
+// component is distinguishable from a missing one.
 func WriteNDJSON(w io.Writer, recs []LabeledRecorder, mark func(Event) bool) error {
 	enc := json.NewEncoder(w)
 	meta := dumpMeta{Flight: "gsdram-flight/1", Components: map[string]dumpCount{}}

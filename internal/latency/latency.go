@@ -188,8 +188,8 @@ func (l *ReqLat) Spans(base, unstall sim.Cycle, coalesced bool) Breakdown {
 	return out
 }
 
-// ReqTrace is one captured request lifecycle, for the Perfetto flow
-// events and the gsbench latency examples.
+// ReqTrace is one request lifecycle as the rig's event log captures it
+// (internal/flight), for the Perfetto flow events.
 type ReqTrace struct {
 	Core       int       `json:"core"`
 	Start      sim.Cycle `json:"start"`
@@ -229,19 +229,13 @@ type Recorder struct {
 
 	// stall[core][stage] is the core's stall cycles charged to stage.
 	stall [][NumStages]metrics.Counter
-
-	traces   []ReqTrace
-	traceCap int
-	seen     uint64
 }
 
 var classNames = [2]string{"p0", "gather"}
 
 // NewRecorder returns a recorder for a rig with the given core count and
 // DRAM geometry, registering every histogram and stall counter into reg.
-// traceCap bounds the captured request traces (0 disables capture; the
-// histograms and stall counters are always maintained).
-func NewRecorder(cores, channels, ranks, banks, traceCap int, reg *metrics.Registry) *Recorder {
+func NewRecorder(cores, channels, ranks, banks int, reg *metrics.Registry) *Recorder {
 	r := &Recorder{
 		channels:  channels,
 		ranks:     ranks,
@@ -249,7 +243,6 @@ func NewRecorder(cores, channels, ranks, banks, traceCap int, reg *metrics.Regis
 		chTotal:   make([]metrics.Histogram, channels),
 		bankTotal: make([]metrics.Histogram, channels*ranks*banks),
 		stall:     make([][NumStages]metrics.Counter, cores),
-		traceCap:  traceCap,
 	}
 	for ci := range r.classes {
 		c := &r.classes[ci]
@@ -288,7 +281,6 @@ func (r *Recorder) bankLoc(i int) (ch, rk, ba int) {
 // spans clipped to [start+1, unstall) — the first cycle is the op's
 // issue slot, which the core retires as an instruction, not a stall.
 func (r *Recorder) ObserveMiss(core int, start, unstall sim.Cycle, coalesced, blocking bool, pattern int, rl *ReqLat) {
-	r.seen++
 	ci := 0
 	if pattern != 0 {
 		ci = 1
@@ -310,15 +302,6 @@ func (r *Recorder) ObserveMiss(core int, start, unstall sim.Cycle, coalesced, bl
 		for si, v := range stallSpans {
 			r.stall[core][si] += metrics.Counter(v)
 		}
-	}
-	if len(r.traces) < r.traceCap {
-		r.traces = append(r.traces, ReqTrace{
-			Core: core, Start: start, Unstall: unstall,
-			Enqueue: rl.Enqueue, FirstSched: rl.FirstSched, FirstCmd: rl.FirstCmd,
-			CAS: rl.CAS, Done: rl.Done,
-			Pattern: pattern, Coalesced: coalesced, Forwarded: rl.Forwarded, Blocking: blocking,
-			Channel: rl.Channel, Rank: rl.Rank, Bank: rl.Bank,
-		})
 	}
 }
 
@@ -343,22 +326,13 @@ func (r *Recorder) StallCycles(core int, st Stage) uint64 {
 	return r.stall[core][st].Value()
 }
 
-// Traces returns the captured request lifecycles (bounded by the trace
-// capacity; Seen counts every request observed).
-func (r *Recorder) Traces() []ReqTrace {
-	if r == nil {
-		return nil
-	}
-	return r.traces
-}
-
-// Seen returns the number of requests observed, including any not
-// captured after the trace capacity was reached.
+// Seen returns the number of requests observed: each lands in exactly
+// one pattern class's total histogram.
 func (r *Recorder) Seen() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.seen
+	return r.classes[0].total.Count() + r.classes[1].total.Count()
 }
 
 // Class returns the histograms of one pattern class for testing: the

@@ -90,7 +90,7 @@ func TestSpansCoalesced(t *testing.T) {
 
 func TestRecorderObserveAndStalls(t *testing.T) {
 	reg := metrics.New()
-	r := NewRecorder(2, 1, 1, 8, 4, reg)
+	r := NewRecorder(2, 1, 1, 8, reg)
 
 	rl := &ReqLat{Enqueue: 121, FirstCmd: 140, CAS: 140, Done: 215, Channel: 0, Rank: 0, Bank: 3}
 	r.ObserveMiss(0, 100, 218, false, true, 0, rl)
@@ -138,8 +138,8 @@ func TestRecorderObserveAndStalls(t *testing.T) {
 		t.Fatalf("store-buffer stall = %d", r.StallCycles(1, StageStoreBuf))
 	}
 
-	if r.Seen() != 3 || len(r.Traces()) != 3 {
-		t.Fatalf("seen=%d traces=%d", r.Seen(), len(r.Traces()))
+	if r.Seen() != 3 {
+		t.Fatalf("seen=%d, want 3", r.Seen())
 	}
 
 	// Registered names: classes, channel, bank, per-core stages.
@@ -155,17 +155,6 @@ func TestRecorderObserveAndStalls(t *testing.T) {
 		if !names[want] {
 			t.Errorf("metric %q not registered (have %d names)", want, len(names))
 		}
-	}
-}
-
-func TestRecorderTraceCap(t *testing.T) {
-	r := NewRecorder(1, 1, 1, 8, 2, metrics.New())
-	rl := &ReqLat{Enqueue: 10, Done: 20}
-	for i := 0; i < 5; i++ {
-		r.ObserveMiss(0, 5, 25, false, true, 0, rl)
-	}
-	if len(r.Traces()) != 2 || r.Seen() != 5 {
-		t.Fatalf("traces=%d seen=%d, want 2/5", len(r.Traces()), r.Seen())
 	}
 }
 

@@ -17,6 +17,7 @@ type protocolChecker struct {
 	lastCmd  sim.Cycle
 	firstCmd bool
 	count    int
+	refs     uint64
 }
 
 func newChecker(t *testing.T) *protocolChecker {
@@ -51,6 +52,7 @@ func (p *protocolChecker) observe(ev CommandEvent) {
 			p.t.Errorf("%v at %d to %v row %d but open row is %d", ev.Kind, ev.At, key, ev.Row, row)
 		}
 	case dram.CmdREF:
+		p.refs++
 		for k := range p.openRow {
 			if k[0] == ev.Channel && k[1] == ev.Rank {
 				p.t.Errorf("REF at %d with bank %v open", ev.At, k)
@@ -89,9 +91,14 @@ func TestProtocolCheckerOnRandomTraffic(t *testing.T) {
 			if chk.count == 0 {
 				t.Fatal("observer saw no commands")
 			}
-			// Long run spanning refresh intervals must include REFs.
-			refs := false
-			_ = refs
+			// Long run spanning refresh intervals must include REFs,
+			// every one of which the controller counted.
+			if chk.refs == 0 {
+				t.Fatal("no REF in a run spanning refresh intervals")
+			}
+			if got := c.Stats().Refreshes; chk.refs != got {
+				t.Fatalf("observer saw %d REFs, controller counted %d refreshes", chk.refs, got)
+			}
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"gsdram/internal/flight"
 	"gsdram/internal/latency"
 	"gsdram/internal/metrics"
 	"gsdram/internal/sim"
@@ -14,7 +15,7 @@ func newLatHarness(t *testing.T, cores int, mutate func(*Config)) (*harness, *me
 	reg := metrics.New()
 	h := newHarness(t, cores, func(c *Config) {
 		c.Metrics = reg
-		c.LatencyTraceCap = 64
+		c.Log = flight.New(0, 0, 64, 0)
 		if mutate != nil {
 			mutate(c)
 		}
@@ -36,7 +37,7 @@ func TestLatencyUncontendedMiss(t *testing.T) {
 	if rec == nil {
 		t.Fatal("no recorder with a registry configured")
 	}
-	traces := rec.Traces()
+	traces := h.s.Log().Requests()
 	if len(traces) != 1 {
 		t.Fatalf("captured %d traces, want 1", len(traces))
 	}
@@ -141,7 +142,7 @@ func TestLatencyCoalescedWaiters(t *testing.T) {
 	h.access(40, b) // joins the outstanding MSHR entry
 	h.q.Run()
 
-	traces := h.s.LatencyRecorder().Traces()
+	traces := h.s.Log().Requests()
 	if len(traces) != 2 {
 		t.Fatalf("captured %d traces, want 2", len(traces))
 	}

@@ -71,18 +71,14 @@ type Config struct {
 	// (internal/latency): span histograms and core-stall attribution.
 	Metrics *metrics.Registry
 
-	// LatencyTraceCap bounds the number of per-request lifecycle traces
-	// the latency recorder captures for the exporters (0 = none). The
-	// histograms and stall counters are always complete; only the
-	// per-request traces are bounded.
-	LatencyTraceCap int
-
-	// Flight, when non-nil, records cache line transitions, §4.1
-	// coherence actions, MSHR traffic, and coalescer burst decisions
-	// into the rig's flight recorder; New also chains it onto the
-	// controller's command observer (Mem.Observer) for DDR commands. Nil
+	// Log, when non-nil, is the rig's event log (internal/flight). The
+	// system records cache line transitions, §4.1 coherence actions, MSHR
+	// traffic, coalescer burst decisions and request lifecycles into it;
+	// New points the controller's Mem.Observer at it for DDR commands,
+	// replacing any observer set there; and every core built on the
+	// system records its stall phases and memory ops into it. Nil
 	// disables recording.
-	Flight *flight.Recorder
+	Log *flight.Recorder
 }
 
 // GatherMode selects the gather implementation being modelled.
@@ -334,14 +330,8 @@ func New(cfg Config, q *sim.EventQueue) (*System, error) {
 	s.l2 = l2
 	memCfg := cfg.Mem
 	memCfg.Metrics = cfg.Metrics
-	if fr := cfg.Flight; fr != nil {
-		ob := memCfg.Observer
-		memCfg.Observer = func(ev memctrl.CommandEvent) {
-			if ob != nil {
-				ob(ev)
-			}
-			fr.Command(ev.At, ev.Channel, ev.Rank, ev.Bank, ev.Row, ev.Kind, ev.Pattern)
-		}
+	if cfg.Log != nil {
+		memCfg.Observer = cfg.Log.Command
 	}
 	ctrl, err := memctrl.New(memCfg, q)
 	if err != nil {
@@ -355,8 +345,7 @@ func New(cfg Config, q *sim.EventQueue) (*System, error) {
 	s.registerMetrics(cfg.Metrics)
 	if cfg.Metrics != nil {
 		spec := cfg.Mem.Spec
-		s.lat = latency.NewRecorder(cfg.Cores, spec.Channels, spec.Ranks, spec.Banks,
-			cfg.LatencyTraceCap, cfg.Metrics)
+		s.lat = latency.NewRecorder(cfg.Cores, spec.Channels, spec.Ranks, spec.Banks, cfg.Metrics)
 	}
 	return s, nil
 }
@@ -364,6 +353,9 @@ func New(cfg Config, q *sim.EventQueue) (*System, error) {
 // LatencyRecorder returns the request-lifecycle attribution recorder, or
 // nil when the system was built without a metrics registry.
 func (s *System) LatencyRecorder() *latency.Recorder { return s.lat }
+
+// Log returns the rig's event log (Config.Log), nil when there is none.
+func (s *System) Log() *flight.Recorder { return s.cfg.Log }
 
 // ChargeStoreBufferStall attributes core-stall cycles spent waiting on a
 // full store buffer (the only memory stall the core accounts that never
@@ -586,7 +578,7 @@ func (s *System) Access(now sim.Cycle, a Access, onDone func(now sim.Cycle)) (do
 	if e, ok := s.mshrs[key]; ok {
 		w.coalesced = true
 		e.waiters = append(e.waiters, w)
-		s.cfg.Flight.MSHR(now, flight.KindMSHRCoalesce, a.Core, uint64(line), a.Pattern, len(s.mshrs))
+		s.cfg.Log.MSHR(now, flight.KindMSHRCoalesce, a.Core, uint64(line), a.Pattern, len(s.mshrs))
 		return 0, false
 	}
 	e := s.newMSHR()
@@ -595,7 +587,7 @@ func (s *System) Access(now sim.Cycle, a Access, onDone func(now sim.Cycle)) (do
 	e.waiters = append(e.waiters, w)
 	s.mshrs[key] = e
 	s.ctr.MSHROccupancy.Observe(uint64(len(s.mshrs)))
-	s.cfg.Flight.MSHR(now, flight.KindMSHRAlloc, a.Core, uint64(line), a.Pattern, len(s.mshrs))
+	s.cfg.Log.MSHR(now, flight.KindMSHRAlloc, a.Core, uint64(line), a.Pattern, len(s.mshrs))
 	// The fetch leaves for the controller after the L1 and L2 tag checks.
 	s.q.Schedule(t2, e.fetchFn)
 	return 0, false
@@ -625,7 +617,7 @@ func (s *System) train(now sim.Cycle, a Access, line addrmap.Addr) {
 		e.lat = latency.ReqLat{MSHRAlloc: now}
 		s.mshrs[key] = e
 		s.ctr.MSHROccupancy.Observe(uint64(len(s.mshrs)))
-		s.cfg.Flight.MSHR(now, flight.KindMSHRAlloc, a.Core, uint64(cl), cand.Pattern, len(s.mshrs))
+		s.cfg.Log.MSHR(now, flight.KindMSHRAlloc, a.Core, uint64(cl), cand.Pattern, len(s.mshrs))
 		if !s.enqueueFetch(now, cl, cand.Pattern, true, e) {
 			delete(s.mshrs, key)
 			s.recycleMSHR(e)
@@ -695,7 +687,7 @@ func (s *System) finishFetch(now sim.Cycle, key mshrKey) {
 		return
 	}
 	delete(s.mshrs, key)
-	s.cfg.Flight.MSHR(now, flight.KindMSHRFree, e.acc.Core, uint64(key.addr), key.patt, len(e.waiters))
+	s.cfg.Log.MSHR(now, flight.KindMSHRFree, e.acc.Core, uint64(key.addr), key.patt, len(e.waiters))
 	s.fillL2(key.addr, key.patt, false)
 	if e.prefetched && len(e.waiters) == 0 {
 		s.prefetchedLines[key] = true
@@ -709,6 +701,8 @@ func (s *System) finishFetch(now sim.Cycle, key mshrKey) {
 			// cycle the core unstalls.
 			s.lat.ObserveMiss(w.core, w.start, now+w.extra, w.coalesced, w.blocking,
 				int(key.patt), &e.lat)
+			s.cfg.Log.Request(w.core, w.start, now+w.extra, w.coalesced, w.blocking,
+				int(key.patt), &e.lat)
 		}
 	}
 	s.recycleMSHR(e)
@@ -716,7 +710,7 @@ func (s *System) finishFetch(now sim.Cycle, key mshrKey) {
 
 // fillL1 inserts a line into a core's L1, handling the eviction.
 func (s *System) fillL1(core int, line addrmap.Addr, p gsdram.Pattern, dirty bool) {
-	s.cfg.Flight.CacheLine(s.q.Now(), flight.KindFill, core, 1, uint64(line), p)
+	s.cfg.Log.CacheLine(s.q.Now(), flight.KindFill, core, 1, uint64(line), p)
 	if ev, has := s.l1[core].Fill(line, p, dirty); has && ev.Dirty {
 		// Dirty L1 victim falls into the L2.
 		s.fillL2(ev.Addr, ev.Pattern, true)
@@ -725,7 +719,7 @@ func (s *System) fillL1(core int, line addrmap.Addr, p gsdram.Pattern, dirty boo
 
 // fillL2 inserts a line into the L2, writing back its dirty victim.
 func (s *System) fillL2(line addrmap.Addr, p gsdram.Pattern, dirty bool) {
-	s.cfg.Flight.CacheLine(s.q.Now(), flight.KindFill, -1, 2, uint64(line), p)
+	s.cfg.Log.CacheLine(s.q.Now(), flight.KindFill, -1, 2, uint64(line), p)
 	ev, has := s.l2.Fill(line, p, dirty)
 	if has {
 		delete(s.prefetchedLines, mshrKey{ev.Addr, ev.Pattern})
@@ -738,7 +732,7 @@ func (s *System) fillL2(line addrmap.Addr, p gsdram.Pattern, dirty bool) {
 // writeback posts a write to the controller.
 func (s *System) writeback(line addrmap.Addr, p gsdram.Pattern) {
 	s.ctr.Writebacks++
-	s.cfg.Flight.CacheLine(s.q.Now(), flight.KindWriteback, -1, 2, uint64(line), p)
+	s.cfg.Log.CacheLine(s.q.Now(), flight.KindWriteback, -1, 2, uint64(line), p)
 	req := s.ctrl.NewRequest()
 	req.Addr = line
 	req.Pattern = p
@@ -757,7 +751,7 @@ func (s *System) probeOtherL1s(now sim.Cycle, core int, line addrmap.Addr, p gsd
 			l1.Invalidate(line, p)
 			s.fillL2(line, p, true)
 			s.ctr.CrossCoreProbe++
-			s.cfg.Flight.Coherence(now, flight.KindCrossProbe, i, uint64(line), p)
+			s.cfg.Log.Coherence(now, flight.KindCrossProbe, i, uint64(line), p)
 		}
 	}
 }
@@ -813,7 +807,7 @@ func (s *System) flushOverlaps(now sim.Cycle, line addrmap.Addr, a Access) {
 		for _, c := range s.allCaches() {
 			if present, dirty := c.Probe(oa, other); present && dirty {
 				s.ctr.OverlapFlushes++
-				s.cfg.Flight.Coherence(now, flight.KindOverlapFlush, a.Core, uint64(oa), other)
+				s.cfg.Log.Coherence(now, flight.KindOverlapFlush, a.Core, uint64(oa), other)
 				s.writeback(oa, other)
 				c.CleanLine(oa, other)
 			}
@@ -833,7 +827,7 @@ func (s *System) invalidateOverlaps(line addrmap.Addr, a Access) {
 				}
 				c.Invalidate(oa, other)
 				s.ctr.OverlapInvals++
-				s.cfg.Flight.Coherence(s.q.Now(), flight.KindOverlapInval, a.Core, uint64(oa), other)
+				s.cfg.Log.Coherence(s.q.Now(), flight.KindOverlapInval, a.Core, uint64(oa), other)
 			}
 		}
 	}

@@ -137,7 +137,7 @@ func (s *System) AccessV(now sim.Cycle, a VAccess, onDone func(now sim.Cycle)) (
 		} else {
 			s.ctr.GathervFallback++
 		}
-		s.cfg.Flight.Burst(now, a.Core, b.Pattern != gsdram.DefaultPattern,
+		s.cfg.Log.Burst(now, a.Core, b.Pattern != gsdram.DefaultPattern,
 			uint64(b.Line), b.Pattern, len(b.Elems))
 	}
 
@@ -192,13 +192,13 @@ func (s *System) vcohLine(la addrmap.Addr, p gsdram.Pattern, write bool) {
 		}
 		if dirty {
 			s.ctr.OverlapFlushes++
-			s.cfg.Flight.Coherence(s.q.Now(), flight.KindOverlapFlush, -1, uint64(la), p)
+			s.cfg.Log.Coherence(s.q.Now(), flight.KindOverlapFlush, -1, uint64(la), p)
 			s.writeback(la, p)
 		}
 		if write {
 			c.Invalidate(la, p)
 			s.ctr.OverlapInvals++
-			s.cfg.Flight.Coherence(s.q.Now(), flight.KindOverlapInval, -1, uint64(la), p)
+			s.cfg.Log.Coherence(s.q.Now(), flight.KindOverlapInval, -1, uint64(la), p)
 		} else if dirty {
 			c.CleanLine(la, p)
 		}
@@ -232,6 +232,7 @@ func (s *System) vburstDone(now sim.Cycle, v *vop) {
 	s.q.Schedule(tdone, v.onDone)
 	if s.lat != nil {
 		s.lat.ObserveMiss(v.core, v.start, tdone, false, true, int(v.patt), &v.lat)
+		s.cfg.Log.Request(v.core, v.start, tdone, false, true, int(v.patt), &v.lat)
 	}
 	s.recycleVop(v)
 }

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"gsdram/internal/flight"
 	"gsdram/internal/latency"
 	"gsdram/internal/telemetry"
 )
@@ -22,8 +23,8 @@ func NewTelemetryEntry(r *telemetry.Run) TelemetryEntry {
 	return TelemetryEntry{
 		Label:        r.Label,
 		EndCycle:     uint64(r.End),
-		CommandsSeen: r.CommandsSeen,
-		PhasesSeen:   r.Phases.Seen(),
+		CommandsSeen: r.Log.Seen(flight.CompDDR),
+		PhasesSeen:   r.Log.PhasesSeen(),
 		Metrics:      r.Registry.Export(),
 		Series:       r.Series,
 		Latency:      SummarizeLatency(r.Latency),

@@ -37,9 +37,10 @@ type Options struct {
 	// event-driven execution goes through the oracle too.
 	NoInline bool
 	Inject   Inject
-	// Flight, when non-nil, records the run's microarchitectural events
-	// (DDR commands, fills, coherence, bursts, MSHRs, core ops) so a
-	// divergence can be dumped with the history leading up to it.
+	// Flight, when non-nil, is the rig's event log: it records the run's
+	// microarchitectural events (DDR commands, fills, coherence, bursts,
+	// MSHRs, core ops) so a divergence can be dumped with the history
+	// leading up to it.
 	Flight *flight.Recorder
 }
 
@@ -140,7 +141,7 @@ func Run(p Program, opts Options) (*Result, error) {
 	// --- simulator run --------------------------------------------------
 	q := &sim.EventQueue{}
 	mcfg := memsysConfig(p)
-	mcfg.Flight = opts.Flight
+	mcfg.Log = opts.Flight
 	mem, err := memsys.New(mcfg, q)
 	if err != nil {
 		return nil, err
@@ -158,7 +159,6 @@ func Run(p Program, opts Options) (*Result, error) {
 	for c := 0; c < p.Cores; c++ {
 		cores[c] = cpu.New(c, q, mem, p.stream(perCore[c], bases, mach, res, &execErr, &errOp, opts), nil)
 		cores[c].SetNoInline(opts.NoInline)
-		cores[c].SetFlightRecorder(opts.Flight)
 		cores[c].Start(0)
 	}
 	q.Run()

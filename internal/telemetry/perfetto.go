@@ -163,11 +163,9 @@ func writeRun(tw *traceWriter, pid, sortIndex int, run *Run) {
 				Ts: uint64(cs.Start), Dur: uint64(cs.Finish - cs.Start)})
 		}
 	}
-	if run.Phases != nil {
-		for _, ph := range run.Phases.Phases() {
-			tw.emit(traceEvent{Name: "dram stall", Ph: "X", Pid: pid, Tid: coreTidBase + ph.Core,
-				Ts: uint64(ph.From), Dur: uint64(ph.To - ph.From)})
-		}
+	for _, ph := range run.Log.Phases() {
+		tw.emit(traceEvent{Name: "dram stall", Ph: "X", Pid: pid, Tid: coreTidBase + ph.Core,
+			Ts: uint64(ph.From), Dur: uint64(ph.To - ph.From)})
 	}
 
 	lanes := writeCommandLanes(tw, pid, run)
@@ -181,16 +179,16 @@ func writeRun(tw *traceWriter, pid, sortIndex int, run *Run) {
 // blocking requests whose CAS landed inside the captured command stream
 // get an arrow — a flow must terminate on an existing slice.
 func writeFlowEvents(tw *traceWriter, pid int, run *Run, lanes map[laneKey]int) {
-	if run.Latency == nil || len(lanes) == 0 {
+	if len(lanes) == 0 {
 		return
 	}
 	var lastCmd uint64
-	for _, ev := range run.Commands {
+	for _, ev := range run.Log.Commands() {
 		if uint64(ev.At) > lastCmd {
 			lastCmd = uint64(ev.At)
 		}
 	}
-	for _, tr := range run.Latency.Traces() {
+	for _, tr := range run.Log.Requests() {
 		if !tr.Blocking || tr.CAS == 0 || tr.Coalesced {
 			continue
 		}
@@ -213,13 +211,14 @@ func writeFlowEvents(tw *traceWriter, pid int, run *Run, lanes map[laneKey]int) 
 type laneKey struct{ ch, rk, ba int }
 
 func writeCommandLanes(tw *traceWriter, pid int, run *Run) map[laneKey]int {
-	if len(run.Commands) == 0 {
+	cmds := run.Log.Commands()
+	if len(cmds) == 0 {
 		return nil
 	}
 	lanes := map[laneKey]int{}
 	keys := []laneKey{}
-	for _, ev := range run.Commands {
-		k := laneKey{ev.Channel, ev.Rank, ev.Bank}
+	for _, ev := range cmds {
+		k := laneKey{int(ev.Channel), int(ev.Rank), int(ev.Bank)}
 		if _, ok := lanes[k]; !ok {
 			lanes[k] = 0
 			keys = append(keys, k)
@@ -243,11 +242,12 @@ func writeCommandLanes(tw *traceWriter, pid int, run *Run) map[laneKey]int {
 		tw.emit(traceEvent{Name: "thread_sort_index", Ph: "M", Pid: pid, Tid: tid,
 			Args: map[string]any{"sort_index": tid}})
 	}
-	for _, ev := range run.Commands {
-		tid := lanes[laneKey{ev.Channel, ev.Rank, ev.Bank}]
-		name := ev.Kind.String()
+	for _, ev := range cmds {
+		tid := lanes[laneKey{int(ev.Channel), int(ev.Rank), int(ev.Bank)}]
+		kind := dram.CmdKind(ev.Aux)
+		name := kind.String()
 		var args map[string]any
-		switch ev.Kind {
+		switch kind {
 		case dram.CmdACT:
 			args = map[string]any{"row": ev.Row}
 		case dram.CmdRD, dram.CmdWR:

@@ -83,5 +83,11 @@ func (s *Sampler) Finish(end sim.Cycle) {
 	s.sample(end)
 }
 
-// Series returns the collected time-series.
-func (s *Sampler) Series() *Series { return &s.series }
+// Series returns the collected time-series. The result is a copy that
+// holds no reference to the sampler, so keeping it (e.g. in a run
+// document) does not keep the sampler's registry, and through it the
+// whole rig, alive.
+func (s *Sampler) Series() *Series {
+	out := s.series
+	return &out
+}

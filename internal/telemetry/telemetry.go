@@ -1,63 +1,21 @@
-// Package telemetry turns the metrics registry and the simulator's
-// observer hooks into run-level artefacts: an epoch time-series sampled
-// on the event queue, core stall phases, captured DRAM command streams,
-// and a Chrome trace_event / Perfetto JSON exporter over all of them.
+// Package telemetry turns a rig's metrics registry and event log into
+// run-level artefacts: an epoch time-series sampled on the event queue,
+// and a Chrome trace_event / Perfetto JSON exporter over the series, the
+// core spans and the log's DRAM commands, stall phases and request
+// lifecycles.
 //
 // Everything here is off the hot path. The sampler fires one event per
-// epoch; the phase recorder is invoked only when a core resumes from a
-// DRAM-bound stall; the exporters run after the simulation has finished.
-// None of it mutates simulated state, so enabling telemetry cannot
-// perturb results — the determinism tests in bench pin this.
+// epoch; the exporters run after the simulation has finished. None of it
+// mutates simulated state, so enabling telemetry cannot perturb results
+// — the determinism tests in bench pin this.
 package telemetry
 
 import (
 	"gsdram/internal/flight"
 	"gsdram/internal/latency"
-	"gsdram/internal/memctrl"
 	"gsdram/internal/metrics"
 	"gsdram/internal/sim"
 )
-
-// Phase is one core stall interval [From, To): the core issued a memory
-// operation at From that missed all the way to DRAM and resumed at To.
-type Phase struct {
-	Core int       `json:"core"`
-	From sim.Cycle `json:"from"`
-	To   sim.Cycle `json:"to"`
-}
-
-// PhaseRecorder collects core stall phases up to a capacity
-// (capacity <= 0 keeps everything), mirroring trace.Recorder's
-// capacity-drop semantics: Seen counts every phase, Phases holds the
-// first cap of them.
-type PhaseRecorder struct {
-	cap    int
-	phases []Phase
-	seen   uint64
-}
-
-// NewPhaseRecorder returns a recorder keeping at most capacity phases.
-func NewPhaseRecorder(capacity int) *PhaseRecorder {
-	return &PhaseRecorder{cap: capacity}
-}
-
-// HookFor returns a cpu.Core phase hook that tags phases with the core id.
-func (p *PhaseRecorder) HookFor(core int) func(from, to sim.Cycle) {
-	return func(from, to sim.Cycle) {
-		p.seen++
-		if p.cap > 0 && len(p.phases) >= p.cap {
-			return
-		}
-		p.phases = append(p.phases, Phase{Core: core, From: from, To: to})
-	}
-}
-
-// Phases returns the recorded phases in recording order.
-func (p *PhaseRecorder) Phases() []Phase { return p.phases }
-
-// Seen returns the total number of phases observed, including any
-// dropped after the capacity was reached.
-func (p *PhaseRecorder) Seen() uint64 { return p.seen }
 
 // CoreSpan is one core's busy interval over the whole run.
 type CoreSpan struct {
@@ -79,23 +37,18 @@ type Run struct {
 	// Series is the epoch time-series the Sampler produced.
 	Series *Series
 
-	// Cores lists per-core busy spans; Phases the DRAM-stall intervals.
-	Cores  []CoreSpan
-	Phases *PhaseRecorder
-
-	// Commands is the captured DRAM command stream (possibly truncated:
-	// CommandsSeen counts every command issued).
-	Commands     []memctrl.CommandEvent
-	CommandsSeen uint64
+	// Cores lists per-core busy spans.
+	Cores []CoreSpan
 
 	// Latency is the run's request-lifecycle attribution recorder (span
-	// histograms, core-stall stage counters, bounded request traces). Nil
-	// when the run was captured without one.
+	// histograms and core-stall stage counters). Nil when the run was
+	// captured without one.
 	Latency *latency.Recorder
 
-	// Flight is the run's flight recorder (last-K microarchitectural
-	// events per component). Nil unless the capture armed one.
-	Flight *flight.Recorder
+	// Log is the rig's event log: the heads of its DRAM command, stall
+	// phase and request lifecycle streams feed the Perfetto exporter,
+	// and its seen counts say how much of each stream the heads hold.
+	Log *flight.Recorder
 
 	// End is the cycle the run finished at.
 	End sim.Cycle

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"gsdram/internal/dram"
+	"gsdram/internal/flight"
 	"gsdram/internal/memctrl"
 	"gsdram/internal/metrics"
 	"gsdram/internal/sim"
@@ -108,21 +111,35 @@ func TestSamplerTerminates(t *testing.T) {
 	}
 }
 
-// TestPhaseRecorderCapacity mirrors trace.Recorder's drop semantics.
-func TestPhaseRecorderCapacity(t *testing.T) {
-	p := NewPhaseRecorder(2)
-	hook := p.HookFor(3)
-	hook(10, 20)
-	hook(30, 40)
-	hook(50, 60) // dropped
-	if p.Seen() != 3 {
-		t.Fatalf("seen = %d, want 3", p.Seen())
+// TestSeriesDoesNotRetainSampler: a run document keeps every run's
+// series until the batch is written out, so the series must not keep
+// its sampler reachable — the sampler holds the registry, which points
+// into the whole rig. The finalizer sits on the registry because the
+// sampler is in a reference cycle with its own tick closure, and the
+// runtime does not run finalizers on cycles.
+func TestSeriesDoesNotRetainSampler(t *testing.T) {
+	collected := make(chan struct{})
+	series := func() *Series {
+		var q sim.EventQueue
+		reg := metrics.New()
+		runtime.SetFinalizer(reg, func(*metrics.Registry) { close(collected) })
+		s := NewSampler(&q, reg, 10)
+		s.Start()
+		s.Finish(q.Run())
+		return s.Series()
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if len(series.Epochs) == 0 {
+				t.Fatal("detached series lost its epochs")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
-	got := p.Phases()
-	want := []Phase{{Core: 3, From: 10, To: 20}, {Core: 3, From: 30, To: 40}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("phases = %v, want %v", got, want)
-	}
+	t.Fatal("sampler's registry still reachable while only its series is held")
 }
 
 // testRun builds a small Run with every kind of content.
@@ -134,8 +151,11 @@ func testRun(t *testing.T) *Run {
 	reg.RegisterCounter("memctrl.reads", &c)
 	reg.RegisterGauge("memctrl.depth", &g)
 
-	pr := NewPhaseRecorder(0)
-	pr.HookFor(0)(100, 180)
+	log := flight.New(10, 10, 10, 0)
+	log.Phase(0, 100, 180)
+	log.Command(memctrl.CommandEvent{At: 110, Channel: 0, Rank: 0, Bank: 2, Row: 7, Kind: dram.CmdACT})
+	log.Command(memctrl.CommandEvent{At: 120, Channel: 0, Rank: 0, Bank: 2, Row: 7, Kind: dram.CmdRD, Pattern: 3})
+	log.Command(memctrl.CommandEvent{At: 130, Channel: 0, Rank: 0, Bank: 1, Row: 4, Kind: dram.CmdACT})
 
 	return &Run{
 		Label:    "fig9/test",
@@ -149,15 +169,9 @@ func testRun(t *testing.T) *Run {
 				{At: 200, Values: []uint64{9, uint64(1)}},
 			},
 		},
-		Cores:  []CoreSpan{{Core: 0, Start: 0, Finish: 200}},
-		Phases: pr,
-		Commands: []memctrl.CommandEvent{
-			{At: 110, Channel: 0, Rank: 0, Bank: 2, Row: 7, Kind: dram.CmdACT},
-			{At: 120, Channel: 0, Rank: 0, Bank: 2, Row: 7, Kind: dram.CmdRD, Pattern: 3},
-			{At: 130, Channel: 0, Rank: 0, Bank: 1, Row: 4, Kind: dram.CmdACT},
-		},
-		CommandsSeen: 3,
-		End:          200,
+		Cores: []CoreSpan{{Core: 0, Start: 0, Finish: 200}},
+		Log:   log,
+		End:   200,
 	}
 }
 

@@ -47,7 +47,7 @@ func RunFig9(opts Options) (*Fig9Result, error) {
 		}
 		var m RunMetrics
 		if opts.Sample != nil {
-			m, ests[j], err = runSampled(sampleConfigFor(*opts.Sample, j), db.Machine(), r, s)
+			m, ests[j], err = runSampled(sampleConfigFor(*opts.Sample, j), r, s)
 			if err != nil {
 				return fmt.Errorf("bench: %v/%v sampled: %w", layout, mix, err)
 			}
@@ -201,7 +201,7 @@ func RunFig10(opts Options) (*Fig10Result, error) {
 		}
 		var m RunMetrics
 		if opts.Sample != nil {
-			m, ests[j], err = runSampled(sampleConfigFor(*opts.Sample, j), db.Machine(), r, s)
+			m, ests[j], err = runSampled(sampleConfigFor(*opts.Sample, j), r, s)
 			if err != nil {
 				return fmt.Errorf("bench: fig10 %v sampled: %w", layout, err)
 			}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"gsdram/internal/cpu"
-	"gsdram/internal/machine"
 	"gsdram/internal/sample"
 	"gsdram/internal/sim"
 )
@@ -17,12 +16,9 @@ type SampledEntry struct {
 // sampleConfigFor derives the per-run sampling config for job index j.
 // The placement seed mixes the configured seed with the job index so
 // every run draws independent window offsets, while remaining a pure
-// function of j — worker count cannot perturb it. Checkpointing is
-// stripped: batch runs never share the caller's checkpoint writer.
+// function of j — worker count cannot perturb it.
 func sampleConfigFor(base sample.Config, j int) sample.Config {
 	base.Seed ^= (uint64(j) + 1) * 0x9E3779B97F4A7C15
-	base.CheckpointAfter = 0
-	base.CheckpointW = nil
 	return base
 }
 
@@ -38,11 +34,11 @@ func sampleConfigFor(base sample.Config, j int) sample.Config {
 // identical, so the scattered physical-layout writes — and the
 // copy-on-write DRAM row copies they would trigger on the cloned
 // template — are pure overhead for a sampled run.
-func runSampled(sc sample.Config, mach *machine.Machine, r *rig, s cpu.Stream) (RunMetrics, *sample.Result, error) {
+func runSampled(sc sample.Config, r *rig, s cpu.Stream) (RunMetrics, *sample.Result, error) {
 	if sh, ok := s.(interface{ EnableShadow() }); ok {
 		sh.EnableShadow()
 	}
-	est, err := sample.Run(sc, sample.Target{Mach: mach, Q: r.q, Mem: r.mem, Stream: s})
+	est, err := sample.Run(sc, sample.Target{Q: r.q, Mem: r.mem, Stream: s})
 	if err != nil {
 		return RunMetrics{}, nil, err
 	}

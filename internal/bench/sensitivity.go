@@ -102,7 +102,7 @@ func RunPatternSweep(opts Options) (*PatternSweepResult, error) {
 		}
 		var m RunMetrics
 		if opts.Sample != nil {
-			m, res.Sampled[p], err = runSampled(sampleConfigFor(*opts.Sample, p), db.Machine(), r, s)
+			m, res.Sampled[p], err = runSampled(sampleConfigFor(*opts.Sample, p), r, s)
 			if err != nil {
 				return fmt.Errorf("bench: pattern sweep p=%d sampled: %w", p, err)
 			}

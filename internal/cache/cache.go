@@ -148,8 +148,6 @@ func New(cfg Config) (*Cache, error) {
 	}, nil
 }
 
-func (c *Cache) numSets() int { return len(c.mru) }
-
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 

@@ -90,7 +90,7 @@ type Engine struct {
 
 	// Self-observation state, all guarded by mu (the engine's workers
 	// update it under short critical sections; scrapes snapshot it).
-	active       int // points currently inside runPoint
+	active       int // points taken by a worker and not yet done or failed
 	submittedPts metrics.Counter
 	completedPts metrics.Counter
 	cachedPts    metrics.Counter
@@ -375,9 +375,6 @@ func (e *Engine) worker() {
 		e.active++
 		e.mu.Unlock()
 		e.runPoint(t)
-		e.mu.Lock()
-		e.active--
-		e.mu.Unlock()
 	}
 }
 
@@ -418,10 +415,12 @@ func (e *Engine) execute(s *spec.Spec) (doc []byte, err error) {
 }
 
 // finishPoint marks point i done, updating the engine's counters and
-// latency histograms for an executed point.
+// latency histograms for an executed point. The counters move before
+// the job publishes, so a client that sees the job finish reads final
+// Stats.
 func (e *Engine) finishPoint(j *Job, i, attempts int, cached bool, wallNS int64, experiment string) {
-	j.finish(i, attempts, cached, wallNS)
 	e.mu.Lock()
+	e.active--
 	e.completedPts.Inc()
 	if cached {
 		e.cachedPts.Inc()
@@ -437,6 +436,7 @@ func (e *Engine) finishPoint(j *Job, i, attempts int, cached bool, wallNS int64,
 		h.Observe(us)
 	}
 	e.mu.Unlock()
+	j.finish(i, attempts, cached, wallNS)
 	e.logger.Info("point done", "job", j.ID, "point", i,
 		"hash", shortHash(j.points[i].Hash), "experiment", experiment,
 		"cached", cached, "attempts", attempts,
@@ -534,6 +534,7 @@ func (e *Engine) runPoint(t task) {
 		}
 		if attempts > e.retries {
 			e.mu.Lock()
+			e.active--
 			e.failedPts.Inc()
 			e.mu.Unlock()
 			j.fail(i, attempts, lastErr)

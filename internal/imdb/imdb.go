@@ -129,9 +129,6 @@ func (db *DB) Clone() *DB {
 	return &n
 }
 
-// Machine returns the machine backing the database.
-func (db *DB) Machine() *machine.Machine { return db.mach }
-
 // Layout returns the table's layout.
 func (db *DB) Layout() Layout { return db.layout }
 
@@ -215,10 +212,7 @@ type TxnResult struct {
 const txnOverheadInstrs = 16
 
 // TxnStream is the instruction stream executing transactions against the
-// table (paper §5.1, Figure 9). It is a plain struct (not a closure) so
-// the sampled-simulation checkpointer can serialize its progress — RNG
-// state, transaction count, and the partially drained op buffer — and
-// resume it bit-identically in a fresh process (see Save/Load).
+// table (paper §5.1, Figure 9).
 type TxnStream struct {
 	db    *DB
 	mix   TxnMix

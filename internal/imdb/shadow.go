@@ -1,7 +1,5 @@
 package imdb
 
-import "sort"
-
 // shadowTab is a flat open-addressing hash table from field key
 // (t*FieldsPerTuple+f) to the field's current value, the storage behind
 // the shadow overlay. It replaces a Go map on the overlay hot path:
@@ -70,17 +68,4 @@ func (t *shadowTab) grow() {
 			t.set(k-1, oldVals[i])
 		}
 	}
-}
-
-// sortedKeys returns the stored field keys in ascending order, for the
-// deterministic checkpoint serialization.
-func (t *shadowTab) sortedKeys() []uint32 {
-	keys := make([]uint32, 0, t.n)
-	for _, k := range t.keys {
-		if k != 0 {
-			keys = append(keys, k-1)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

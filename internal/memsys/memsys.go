@@ -288,8 +288,8 @@ type System struct {
 	// (overlap, pattern) line exists, so repeating the drop is a no-op.
 	// The memo is conservatively cleared by anything that could
 	// reintroduce a non-default-pattern line (any warm or detailed fill
-	// of one) and by checkpoint restore; clearing it never changes
-	// state, only costs the redundant probe. warmInvMemoOK gates it.
+	// of one); clearing it never changes state, only costs the
+	// redundant probe. warmInvMemoOK gates it.
 	warmInvMemo     addrmap.Addr
 	warmInvMemoPatt gsdram.Pattern
 	warmInvMemoOK   bool

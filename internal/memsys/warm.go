@@ -2,7 +2,6 @@ package memsys
 
 import (
 	"gsdram/internal/addrmap"
-	"gsdram/internal/cache"
 	"gsdram/internal/gsdram"
 )
 
@@ -154,7 +153,3 @@ func (s *System) warmOverlapDrop(line addrmap.Addr, a Access, invalidate bool) {
 		}
 	}
 }
-
-// WarmCaches returns the hierarchy's caches for tests that assert on
-// warmed state: per-core L1s, then the shared L2.
-func (s *System) WarmCaches() []*cache.Cache { return s.allCaches() }

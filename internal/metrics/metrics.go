@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Counter is a monotonically increasing event count. It is a defined
@@ -367,12 +366,4 @@ func (r *Registry) Each(fn func(name string, kind Kind, value int64)) {
 			fn(e.name, KindHistogram, int64(e.hist.Count()))
 		}
 	}
-}
-
-// SortedNames returns the metric names sorted lexically — the order the
-// human-facing exporters use.
-func (r *Registry) SortedNames() []string {
-	names := r.Names()
-	sort.Strings(names)
-	return names
 }

@@ -10,25 +10,15 @@
 // interval. Window placement within each interval is drawn from a
 // seed-derived PRNG, so a (config, seed) pair reproduces the exact same
 // estimate on any machine at any worker count.
-//
-// Between windows the event queue is fully drained, which makes every
-// inter-interval point quiescent: no MSHR entries, no queued controller
-// requests, no pending events. Checkpointing exploits this — the full
-// simulation state (machine, caches, DRAM timing state, stream progress,
-// sampler accumulators) serializes into a stable binary format and
-// resumes bit-identically, even in a fresh process.
 package sample
 
 import (
 	"fmt"
-	"io"
 
 	"gsdram/internal/cache"
-	"gsdram/internal/ckpt"
 	"gsdram/internal/cpu"
 	"gsdram/internal/energy"
 	"gsdram/internal/fastsim"
-	"gsdram/internal/machine"
 	"gsdram/internal/memctrl"
 	"gsdram/internal/memsys"
 	"gsdram/internal/sim"
@@ -50,8 +40,6 @@ type Config struct {
 	// Seed derives the per-interval window placement (independent of the
 	// workload's own seed).
 	Seed uint64
-	// Confidence selects the interval level: 0.90, 0.95 (default) or 0.99.
-	Confidence float64
 
 	// FFWarm bounds functional cache warming to the last FFWarm
 	// instructions of each inter-window gap; the rest of the gap is
@@ -62,22 +50,10 @@ type Config struct {
 	// cache-state fidelity (far-reuse L2 residency) for speed; the
 	// sample-validate harness measures the resulting bias directly.
 	FFWarm uint64
-
-	// CheckpointAfter, when positive, serializes the full simulation
-	// state into CheckpointW after that many completed intervals; the run
-	// then continues normally, so the returned result equals an
-	// uninterrupted run's. Requires a stream implementing
-	// CheckpointableStream.
-	CheckpointAfter int
-	CheckpointW     io.Writer
 }
 
-func (c Config) withDefaults() Config {
-	if c.Confidence == 0 {
-		c.Confidence = 0.95
-	}
-	return c
-}
+// confidence is the level of every estimate's Student-t interval.
+const confidence = 0.95
 
 func (c Config) validate() error {
 	if c.Measure == 0 {
@@ -90,25 +66,13 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Target is the rig a sampled run drives: a machine, its detailed memory
-// hierarchy, and the single instruction stream to execute on core 0.
+// Target is the rig a sampled run drives: its detailed memory hierarchy
+// and the single instruction stream to execute on core 0. Windows run
+// with blocking stores, like the detailed runs they estimate.
 type Target struct {
-	Mach   *machine.Machine
 	Q      *sim.EventQueue
 	Mem    *memsys.System
 	Stream cpu.Stream
-	// StoreBufCap is the per-window core's store-buffer capacity
-	// (0 = blocking stores), matching the detailed run being estimated.
-	StoreBufCap int
-}
-
-// CheckpointableStream is a cpu.Stream whose generation progress can be
-// serialized — required for checkpointing, where stream state must
-// survive into a fresh process (see imdb.TxnStream).
-type CheckpointableStream interface {
-	cpu.Stream
-	Save(w *ckpt.Writer)
-	Load(r *ckpt.Reader) error
 }
 
 // Skipper is a cpu.Stream that can advance its functional state in bulk,
@@ -237,8 +201,8 @@ func (d snapshot) activity(cycles, instrs uint64, cores int) energy.Activity {
 	}
 }
 
-// state is the sampler's accumulator — everything a checkpoint must carry
-// to resume the estimate bit-identically.
+// state is the sampler's accumulator: progress counters and the
+// per-window samples the estimate is computed from.
 type state struct {
 	interval   uint64 // completed intervals
 	instrs     uint64 // total retired
@@ -252,8 +216,6 @@ type state struct {
 	cpis, waits, epis []float64
 	agg               snapshot // summed measurement-phase counter deltas
 	cores             int
-
-	checkpointed bool
 }
 
 // instrCount is the retired-instruction weight of one op, matching
@@ -268,8 +230,7 @@ func instrCount(op cpu.Op) uint64 {
 
 // intervalRand derives the PRNG placing interval k's window: a splitmix64
 // mix of the sampling seed and the interval index, so placement is a pure
-// function of (seed, k) — checkpoint/resume and worker count cannot
-// perturb it.
+// function of (seed, k) — worker count cannot perturb it.
 func intervalRand(seed, k uint64) *sim.Rand {
 	z := seed + 0x9e3779b97f4a7c15*(k+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -392,7 +353,7 @@ func (st *state) window(cfg Config, t Target) (bool, error) {
 		warmLeft: cfg.Warmup,
 	}
 	start := t.Q.Now()
-	core := cpu.NewWithStoreBuffer(0, t.Q, t.Mem, ws, nil, t.StoreBufCap)
+	core := cpu.New(0, t.Q, t.Mem, ws, nil)
 	core.Start(start)
 	t.Q.Run()
 	cs := core.Stats()
@@ -423,43 +384,19 @@ func (st *state) window(cfg Config, t Target) (bool, error) {
 // Run executes the target's stream to completion under interval
 // sampling and returns the estimate.
 func Run(cfg Config, t Target) (*Result, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.CheckpointAfter > 0 {
-		if cfg.CheckpointW == nil {
-			return nil, fmt.Errorf("sample: CheckpointAfter set without CheckpointW")
-		}
-		if _, ok := t.Stream.(CheckpointableStream); !ok {
-			return nil, fmt.Errorf("sample: stream %T does not support checkpointing", t.Stream)
-		}
-	}
-	return run(cfg, t, &state{})
-}
-
-func run(cfg Config, t Target, st *state) (*Result, error) {
 	l1s, _ := t.Mem.CacheStats()
-	st.cores = len(l1s)
+	st := &state{cores: len(l1s)}
 	f := fastsim.NewFunctional(t.Mem)
 	slack := cfg.Interval - cfg.Warmup - cfg.Measure
-	offset := func(k uint64) uint64 { return intervalRand(cfg.Seed, k).Uint64n(slack + 1) }
 	// Each iteration fast-forwards the previous interval's post-window
 	// slack plus this interval's offset in one call, so the FFWarm warming
-	// tail always immediately precedes the window. The pending slack is a
-	// pure function of the interval index, so a resumed run recomputes it.
+	// tail always immediately precedes the window.
 	var pending uint64
-	if st.interval > 0 {
-		pending = slack - offset(st.interval-1)
-	}
 	for {
-		if cfg.CheckpointAfter > 0 && !st.checkpointed && st.interval >= uint64(cfg.CheckpointAfter) {
-			if err := writeCheckpoint(cfg, t, st); err != nil {
-				return nil, err
-			}
-			st.checkpointed = true
-		}
-		off := offset(st.interval)
+		off := intervalRand(cfg.Seed, st.interval).Uint64n(slack + 1)
 		gap := pending + off
 		warmTail := gap
 		if cfg.FFWarm > 0 {
@@ -485,15 +422,15 @@ func (st *state) finalize(cfg Config) (*Result, error) {
 	if len(st.cpis) == 0 {
 		return nil, fmt.Errorf("sample: program ended before any measurement window completed; reduce Interval (%d)", cfg.Interval)
 	}
-	cpi, cpiHalf, err := stats.MeanCI(st.cpis, cfg.Confidence)
+	cpi, cpiHalf, err := stats.MeanCI(st.cpis, confidence)
 	if err != nil {
 		return nil, err
 	}
-	wait, waitHalf, err := stats.MeanCI(st.waits, cfg.Confidence)
+	wait, waitHalf, err := stats.MeanCI(st.waits, confidence)
 	if err != nil {
 		return nil, err
 	}
-	epi, epiHalf, err := stats.MeanCI(st.epis, cfg.Confidence)
+	epi, epiHalf, err := stats.MeanCI(st.epis, confidence)
 	if err != nil {
 		return nil, err
 	}
@@ -507,7 +444,7 @@ func (st *state) finalize(cfg Config) (*Result, error) {
 		DetailedCycles:          st.detCycles,
 		CPI:                     cpi,
 		CPIHalf:                 cpiHalf,
-		Confidence:              cfg.Confidence,
+		Confidence:              confidence,
 		Cycles:                  uint64(cpi*float64(st.instrs) + 0.5),
 		AvgReadWait:             wait,
 		ReadWaitHalf:            waitHalf,

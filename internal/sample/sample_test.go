@@ -1,12 +1,7 @@
 package sample_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -48,7 +43,7 @@ func testTarget(t *testing.T) (sample.Target, *imdb.TxnResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sample.Target{Mach: mach, Q: q, Mem: mem, Stream: s}, &tr
+	return sample.Target{Q: q, Mem: mem, Stream: s}, &tr
 }
 
 func testConfig() sample.Config {
@@ -143,132 +138,4 @@ func TestAccuracyAgainstDetailed(t *testing.T) {
 	}
 	t.Logf("sampled %d vs detailed %d cycles (%.2f%% error, CI ±%.2f%%, %d windows, %.1f%% detailed)",
 		res.Cycles, uint64(det), rel*100, res.RelCI()*100, res.Windows, res.SampledFraction()*100)
-}
-
-// TestCheckpointResume: a run that checkpoints mid-way and a fresh rig
-// resumed from that checkpoint must produce bit-identical estimates.
-func TestCheckpointResume(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := testConfig()
-	cfg.CheckpointAfter = 3
-	cfg.CheckpointW = &buf
-	tgt, _ := testTarget(t)
-	want, err := sample.Run(cfg, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("no checkpoint written")
-	}
-
-	cfg2 := testConfig()
-	tgt2, tr2 := testTarget(t)
-	got, err := sample.Resume(cfg2, tgt2, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("resumed run diverged from uninterrupted run:\nwant %+v\ngot  %+v", want, got)
-	}
-	if tr2.Completed != testTxns {
-		t.Fatalf("resumed run completed %d transactions, want %d", tr2.Completed, testTxns)
-	}
-}
-
-// TestResumeRejectsMismatchedConfig: a checkpoint must not resume under
-// different sampling parameters.
-func TestResumeRejectsMismatchedConfig(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := testConfig()
-	cfg.CheckpointAfter = 2
-	cfg.CheckpointW = &buf
-	tgt, _ := testTarget(t)
-	if _, err := sample.Run(cfg, tgt); err != nil {
-		t.Fatal(err)
-	}
-	bad := testConfig()
-	bad.Measure = 1024
-	tgt2, _ := testTarget(t)
-	if _, err := sample.Resume(bad, tgt2, bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("Resume accepted a checkpoint taken under a different config")
-	}
-}
-
-const (
-	resumeEnvCkpt = "GSDRAM_SAMPLE_RESUME_CKPT"
-	resumeEnvOut  = "GSDRAM_SAMPLE_RESUME_OUT"
-)
-
-// TestCheckpointResumeFreshProcess proves the checkpoint survives
-// process death: the parent writes a checkpoint to disk, a child test
-// process restores it into a freshly built rig and finishes the run,
-// and the child's estimate must be bit-identical to the parent's
-// uninterrupted one.
-func TestCheckpointResumeFreshProcess(t *testing.T) {
-	if os.Getenv(resumeEnvCkpt) != "" {
-		t.Skip("resume child")
-	}
-	dir := t.TempDir()
-	ckptPath := filepath.Join(dir, "sample.ckpt")
-	outPath := filepath.Join(dir, "result.json")
-
-	f, err := os.Create(ckptPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig()
-	cfg.CheckpointAfter = 3
-	cfg.CheckpointW = f
-	tgt, _ := testTarget(t)
-	want, err := sample.Run(cfg, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cmd := exec.Command(os.Args[0], "-test.run=TestResumeChild$", "-test.v")
-	cmd.Env = append(os.Environ(), resumeEnvCkpt+"="+ckptPath, resumeEnvOut+"="+outPath)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("resume child failed: %v\n%s", err, out)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got sample.Result
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*want, got) {
-		t.Fatalf("fresh-process resume diverged:\nwant %+v\ngot  %+v", want, got)
-	}
-}
-
-// TestResumeChild is the fresh-process half of
-// TestCheckpointResumeFreshProcess; it only runs when spawned with the
-// checkpoint environment set.
-func TestResumeChild(t *testing.T) {
-	ckptPath := os.Getenv(resumeEnvCkpt)
-	if ckptPath == "" {
-		t.Skip("not a resume child")
-	}
-	f, err := os.Open(ckptPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	tgt, _ := testTarget(t)
-	res, err := sample.Resume(testConfig(), tgt, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(os.Getenv(resumeEnvOut), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -16,20 +16,6 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
-// State returns the generator's internal state, for checkpointing.
-func (r *Rand) State() uint64 { return r.state }
-
-// SetState restores a state previously returned by State. A zero state is
-// remapped exactly as NewRand remaps a zero seed, so restoring a
-// serialized state can never wedge the generator on the xorshift fixed
-// point.
-func (r *Rand) SetState(s uint64) {
-	if s == 0 {
-		s = 0x9E3779B97F4A7C15
-	}
-	r.state = s
-}
-
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *Rand) Uint64() uint64 {
 	x := r.state

@@ -33,8 +33,8 @@ import (
 )
 
 // Sample mirrors sample.Config's knobs with stable JSON names, so the
-// canonical encoding cannot drift when the simulator-side struct grows
-// fields that do not affect results (e.g. checkpoint writers).
+// canonical encoding cannot drift when the simulator-side struct
+// changes.
 type Sample struct {
 	Interval uint64 `json:"interval"`
 	Warmup   uint64 `json:"warmup"`

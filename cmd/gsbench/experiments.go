@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -25,20 +26,16 @@ type expFlags struct {
 	noInline  bool
 	l2Latency uint64
 
-	sampleOn       bool
-	sampleInterval uint64
-	sampleWarmup   uint64
-	sampleMeasure  uint64
-	sampleSeed     uint64
-	sampleFFWarm   uint64
-	// fs is the flag set the fields were registered on, kept so options()
+	sampleOn bool
+	sample   spec.Sample
+	// fs is the flag set the fields were registered on, kept so check
 	// can tell which sampling flags were explicitly set.
 	fs *flag.FlagSet
 }
 
 // register installs the workload flags on fs.
 func (ef *expFlags) register(fs *flag.FlagSet) {
-	ds := spec.DefaultSample()
+	ef.sample = *spec.DefaultSample()
 	fs.IntVar(&ef.tuples, "tuples", gsdram.DefaultOptions().Tuples, "database table size in tuples (paper: 1048576)")
 	fs.IntVar(&ef.txns, "txns", gsdram.DefaultOptions().Txns, "transactions per Figure 9 run (paper: 10000)")
 	fs.StringVar(&ef.gemmStr, "gemm", "32,64,128,256", "comma-separated GEMM matrix sizes (paper: 32..1024)")
@@ -50,28 +47,19 @@ func (ef *expFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&ef.noInline, "noinline", false, "disable the event-horizon fast path (pure event-driven execution; identical results)")
 	fs.Uint64Var(&ef.l2Latency, "l2-latency", 0, "override the L2 hit latency in cycles (0 = model default; an ablation knob that changes results and hashes like a workload parameter)")
 	fs.BoolVar(&ef.sampleOn, "sample", false, "estimate the sampling-capable experiments (fig9, fig10, pattbits) via interval sampling: functional fast-forward plus detailed windows with confidence intervals")
-	fs.Uint64Var(&ef.sampleInterval, "sample-interval", ds.Interval, "sampling interval in instructions (one detailed window per interval); larger workloads tolerate longer intervals (32768 holds at -tuples 1048576)")
-	fs.Uint64Var(&ef.sampleWarmup, "sample-warmup", ds.Warmup, "detailed warm-up instructions per window (excluded from the samples)")
-	fs.Uint64Var(&ef.sampleMeasure, "sample-measure", ds.Measure, "measured instructions per window")
-	fs.Uint64Var(&ef.sampleSeed, "sample-seed", ds.Seed, "window-placement seed (independent of the workload -seed)")
-	fs.Uint64Var(&ef.sampleFFWarm, "sample-ffwarm", ds.FFWarm, "functional cache warming tail before each detailed window, in instructions (0 = warm the entire fast-forward; bounded warming is faster but mispredicts L2-resident workloads)")
+	fs.Uint64Var(&ef.sample.Interval, "sample-interval", ef.sample.Interval, "sampling interval in instructions (one detailed window per interval); larger workloads tolerate longer intervals (32768 holds at -tuples 1048576)")
+	fs.Uint64Var(&ef.sample.Warmup, "sample-warmup", ef.sample.Warmup, "detailed warm-up instructions per window (excluded from the samples)")
+	fs.Uint64Var(&ef.sample.Measure, "sample-measure", ef.sample.Measure, "measured instructions per window")
+	fs.Uint64Var(&ef.sample.Seed, "sample-seed", ef.sample.Seed, "window-placement seed (independent of the workload -seed)")
 	ef.fs = fs
 }
 
-// sampleConfig resolves the sampling flags into a config.
-func (ef *expFlags) sampleConfig() *gsdram.SampleConfig {
-	return ef.sampleSpec().Config()
-}
-
-// sampleSpec resolves the sampling flags into the spec section.
-func (ef *expFlags) sampleSpec() *spec.Sample {
-	return &spec.Sample{
-		Interval: ef.sampleInterval,
-		Warmup:   ef.sampleWarmup,
-		Measure:  ef.sampleMeasure,
-		Seed:     ef.sampleSeed,
-		FFWarm:   ef.sampleFFWarm,
+// selected expands an -exp value into registry names.
+func selected(exp string) []string {
+	if exp == "all" {
+		return spec.Names()
 	}
+	return []string{exp}
 }
 
 // spec builds the ExperimentSpec the flags describe for one registry
@@ -102,50 +90,38 @@ func (ef *expFlags) spec(name string, telemetryOn bool, epoch uint64) (*spec.Spe
 	// even without -sample (its registry entry falls back to the same
 	// defaults the flags carry).
 	if ef.sampleOn || name == "fig9sampled" {
-		sp.Sample = ef.sampleSpec()
+		sc := ef.sample
+		sp.Sample = &sc
 	}
 	return sp, nil
 }
 
-// options resolves the flags into experiment Options. sampledAlways
-// indicates the selected experiments include an always-sampled one
-// (fig9sampled), whose config consumes the sampling sub-flags even
-// without -sample.
-func (ef *expFlags) options(sampledAlways bool) (gsdram.Options, error) {
-	opts := gsdram.DefaultOptions()
-	opts.Tuples = ef.tuples
-	opts.Txns = ef.txns
-	opts.Seed = ef.seed
-	opts.Workers = ef.workers
-	sizes, err := parseSizes(ef.gemmStr)
-	if err != nil {
-		return opts, err
-	}
-	opts.GemmSizes = sizes
-	if !ef.sampleOn {
+// check validates the flags for the selected experiments before any of
+// them runs: every experiment's spec must pass spec.Validate, and the
+// sampling sub-flags need -sample unless an always-sampled experiment
+// (fig9sampled) consumes them.
+func (ef *expFlags) check(exps ...string) error {
+	if !ef.sampleOn && !slices.Contains(exps, "fig9sampled") {
 		var set []string
-		if ef.fs != nil && !sampledAlways {
-			ef.fs.Visit(func(f *flag.Flag) {
-				switch f.Name {
-				case "sample-interval", "sample-warmup", "sample-measure", "sample-seed", "sample-ffwarm":
-					set = append(set, "-"+f.Name)
-				}
-			})
-		}
+		ef.fs.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Name, "sample-") {
+				set = append(set, "-"+f.Name)
+			}
+		})
 		if len(set) > 0 {
-			return opts, fmt.Errorf("sampling flags (%s) only take effect with -sample", strings.Join(set, ", "))
+			return fmt.Errorf("sampling flags (%s) only take effect with -sample", strings.Join(set, ", "))
 		}
-		return opts, nil
 	}
-	if ef.noInline {
-		return opts, fmt.Errorf("-sample cannot be combined with -noinline: sampled runs fast-forward most instructions functionally, so there is no pure event-driven execution to fall back to")
+	for _, name := range exps {
+		sp, err := ef.spec(name, false, 0)
+		if err != nil {
+			return err
+		}
+		if err := sp.Validate(); err != nil {
+			return err
+		}
 	}
-	if ef.sampleInterval <= ef.sampleWarmup+ef.sampleMeasure {
-		return opts, fmt.Errorf("-sample-interval (%d) must exceed -sample-warmup + -sample-measure (%d)",
-			ef.sampleInterval, ef.sampleWarmup+ef.sampleMeasure)
-	}
-	opts.Sample = ef.sampleConfig()
-	return opts, nil
+	return nil
 }
 
 // params renders the flags as manifest parameters.

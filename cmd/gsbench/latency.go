@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"gsdram/internal/latency"
 	"gsdram/internal/spec"
@@ -33,15 +32,11 @@ func latencyCmd(args []string) error {
 		return fmt.Errorf("latency: unexpected arguments %v", fs.Args())
 	}
 
-	if _, err := ef.options(false); err != nil {
+	exps := selected(*exp)
+	if err := ef.check(exps...); err != nil {
 		return err
 	}
-	ran := false
-	for _, name := range spec.Names() {
-		if *exp != "all" && *exp != name {
-			continue
-		}
-		ran = true
+	for _, name := range exps {
 		sp, err := ef.spec(name, true, *epoch)
 		if err != nil {
 			return err
@@ -53,10 +48,6 @@ func latencyCmd(args []string) error {
 		for _, r := range out.Runs {
 			printLatencyReport(name, r)
 		}
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q (valid: all, %s)", *exp,
-			strings.Join(spec.Names(), ", "))
 	}
 	return nil
 }

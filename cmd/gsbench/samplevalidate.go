@@ -60,10 +60,14 @@ func sampleValidateCmd(args []string) error {
 		return fmt.Errorf("sample-validate: unexpected arguments %v", fs.Args())
 	}
 	ef.sampleOn = true // the sampling flags are the point of this subcommand
-	opts, err := ef.options(false)
+	if err := ef.check("fig9"); err != nil {
+		return err
+	}
+	sp, err := ef.spec("fig9", false, 0)
 	if err != nil {
 		return err
 	}
+	opts := sp.BenchOptions()
 
 	// Untimed warm-up: populate the per-(layout, tuples) rig templates
 	// that both passes clone, so the one-time functional population cost
@@ -93,9 +97,9 @@ func sampleValidateCmd(args []string) error {
 	detWall := time.Since(start)
 
 	doc := sampleValidateDoc{
-		Interval:       ef.sampleInterval,
-		Warmup:         ef.sampleWarmup,
-		Measure:        ef.sampleMeasure,
+		Interval:       ef.sample.Interval,
+		Warmup:         ef.sample.Warmup,
+		Measure:        ef.sample.Measure,
 		SampledWallNS:  samWall.Nanoseconds(),
 		DetailedWallNS: detWall.Nanoseconds(),
 		Speedup:        float64(detWall) / float64(samWall),

@@ -281,6 +281,9 @@ func runSweep(sf *sweepFlags, points []spec.Spec) error {
 		return nil
 	}
 
+	// The engine keys each point under its own fingerprint, so the point
+	// hashes come from it, never from the specs submitted.
+	hashes := make([]string, len(points))
 	var fetch func(hash string) ([]byte, bool, error)
 	start = time.Now()
 	if sf.server != "" {
@@ -290,6 +293,11 @@ func runSweep(sf *sweepFlags, points []spec.Spec) error {
 			return err
 		}
 		jobID = ack.ID
+		for _, p := range ack.Points {
+			if p.Index >= 0 && p.Index < len(hashes) {
+				hashes[p.Index] = p.Hash
+			}
+		}
 		if err := client.Stream(ctx, ack.ID, onEvent); err != nil {
 			return err
 		}
@@ -306,6 +314,9 @@ func runSweep(sf *sweepFlags, points []spec.Spec) error {
 			return err
 		}
 		jobID = job.ID
+		for i, p := range job.Points() {
+			hashes[i] = p.Hash
+		}
 		seq := 0
 		for {
 			evs, ch, done := job.EventsSince(seq)
@@ -340,7 +351,7 @@ func runSweep(sf *sweepFlags, points []spec.Spec) error {
 		ps := sweepPointSummary{
 			Index:    i,
 			Spec:     points[i],
-			Hash:     points[i].Hash(),
+			Hash:     hashes[i],
 			Status:   final[i].Status,
 			Cached:   final[i].Cached,
 			Attempts: final[i].Attempts,

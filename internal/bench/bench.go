@@ -24,15 +24,6 @@ import (
 	"gsdram/internal/sim"
 )
 
-// SimVersion names the simulator's semantic version. It participates in
-// the experiment-spec code fingerprint (internal/spec), which keys the
-// on-disk result cache: bump it whenever a change alters simulation
-// results (timing model, coherence, workload generation, document
-// schema), so cached documents from older semantics can never be
-// returned for new requests. Builds stamped with VCS info additionally
-// mix the commit revision into the fingerprint.
-const SimVersion = "gsdram-sim/2"
-
 // Options scales the experiments. The zero value is unusable; start from
 // DefaultOptions.
 type Options struct {
@@ -98,8 +89,8 @@ func DefaultOptions() Options {
 }
 
 // Validate reports whether the options describe a runnable experiment
-// scale; the CLI flag layer and the spec layer (internal/spec) both
-// defer to it so they cannot drift.
+// scale; the spec layer (internal/spec), and through it the CLI, defers
+// to it so they cannot drift.
 func (o Options) Validate() error {
 	if o.Tuples <= 0 {
 		return fmt.Errorf("tuples must be positive, got %d", o.Tuples)
@@ -118,9 +109,8 @@ func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("workers must be >= 0, got %d", o.Workers)
 	}
-	if s := o.Sample; s != nil && s.Interval <= s.Warmup+s.Measure {
-		return fmt.Errorf("sample interval (%d) must exceed warmup + measure (%d)",
-			s.Interval, s.Warmup+s.Measure)
+	if o.Sample != nil {
+		return o.Sample.Validate()
 	}
 	return nil
 }

@@ -154,13 +154,16 @@ func (e *Engine) Start() {
 
 // Submit validates, normalizes and hashes every point, creates a job,
 // and enqueues all points. It returns an error (without side effects)
-// when any point is invalid or the engine is draining.
+// when any point is invalid or the engine is draining. Every point is
+// stamped with the engine's own fingerprint, whatever the client sent:
+// this process's code produces the result, so its fingerprint keys it.
 func (e *Engine) Submit(points []spec.Spec) (*Job, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("farm: empty sweep")
 	}
 	pts := make([]*Point, len(points))
 	for i, s := range points {
+		s.Fingerprint = spec.DefaultFingerprint()
 		ns := s.Normalized()
 		if err := ns.Validate(); err != nil {
 			return nil, fmt.Errorf("farm: point %d: %w", i, err)

@@ -230,6 +230,30 @@ func TestSubmitValidates(t *testing.T) {
 	}
 }
 
+// TestSubmitStampsEngineFingerprint: the engine's code produces a
+// point's result, so the point is keyed under the engine's fingerprint,
+// never under one the client supplied.
+func TestSubmitStampsEngineFingerprint(t *testing.T) {
+	e := newEngine(t, Options{Workers: 1, Runner: fakeRunner(new(atomic.Int64))})
+	foreign := point(1)
+	foreign.Fingerprint = "foreign"
+	j, err := e.Submit([]spec.Spec{foreign})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	wait(t, j)
+	want := point(1)
+	want.Fingerprint = spec.DefaultFingerprint()
+	p := j.Points()[0]
+	if p.Spec.Fingerprint != want.Fingerprint || p.Hash != want.Hash() {
+		t.Fatalf("point keyed as (%q, %s); want the engine's (%q, %s)",
+			p.Spec.Fingerprint, p.Hash, want.Fingerprint, want.Hash())
+	}
+	if _, ok, err := e.Cache().Get(want.Hash()); !ok || err != nil {
+		t.Fatalf("no document under the engine's hash: ok=%v err=%v", ok, err)
+	}
+}
+
 // TestDrain: draining finishes accepted work, then rejects new sweeps.
 func TestDrain(t *testing.T) {
 	var calls atomic.Int64

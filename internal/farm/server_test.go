@@ -131,6 +131,20 @@ func TestServerErrors(t *testing.T) {
 		t.Fatalf("malformed body = HTTP %d; want 400", resp.StatusCode)
 	}
 
+	// A sample section with a field sample.Config does not have (the
+	// deleted bounded-warming knob) is a 400, not silently dropped.
+	ffwarm := `{"points":[{"experiment":"fig9","tuples":1024,"txns":50,"gemm_sizes":[32],` +
+		`"kvpairs":256,"vertices":512,"degree":4,"seed":1,` +
+		`"sample":{"interval":16384,"warmup":512,"measure":1024,"seed":1,"ffwarm":4096}}]}`
+	resp, err = http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(ffwarm))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("sample section with ffwarm = HTTP %d; want 400", resp.StatusCode)
+	}
+
 	// An invalid point is a 400 with the validation message.
 	bad := point(1)
 	bad.Experiment = "nope"

@@ -21,8 +21,6 @@ import (
 type Functional struct {
 	mem    *memsys.System
 	instrs uint64
-	loads  uint64
-	stores uint64
 }
 
 // NewFunctional builds a functional executor over a detailed hierarchy.
@@ -37,33 +35,21 @@ func (f *Functional) Exec(core int, op cpu.Op) {
 		f.instrs += uint64(op.Cycles)
 	case cpu.OpLoad, cpu.OpStore:
 		f.instrs++
-		write := op.Kind == cpu.OpStore
-		if write {
-			f.stores++
-		} else {
-			f.loads++
-		}
 		f.mem.WarmAccess(memsys.Access{
 			Core:       core,
 			Addr:       op.Addr,
 			Pattern:    op.Pattern,
-			Write:      write,
+			Write:      op.Kind == cpu.OpStore,
 			PC:         op.PC,
 			Shuffled:   op.Shuffled,
 			AltPattern: op.AltPattern,
 		})
 	case cpu.OpGatherV, cpu.OpScatterV:
 		f.instrs++
-		write := op.Kind == cpu.OpScatterV
-		if write {
-			f.stores++
-		} else {
-			f.loads++
-		}
 		f.mem.WarmAccessV(memsys.VAccess{
 			Core:       core,
 			Addrs:      op.Addrs,
-			Write:      write,
+			Write:      op.Kind == cpu.OpScatterV,
 			PC:         op.PC,
 			Shuffled:   op.Shuffled,
 			AltPattern: op.AltPattern,
@@ -73,9 +59,3 @@ func (f *Functional) Exec(core int, op cpu.Op) {
 
 // Instructions returns the retired-instruction count.
 func (f *Functional) Instructions() uint64 { return f.instrs }
-
-// Loads returns the retired load count.
-func (f *Functional) Loads() uint64 { return f.loads }
-
-// Stores returns the retired store count.
-func (f *Functional) Stores() uint64 { return f.stores }

@@ -346,60 +346,6 @@ func (s *TxnStream) makeTxn() {
 	s.res.Completed++
 }
 
-// skipTxn is makeTxn without op materialization: identical RNG draws,
-// functional effects and checksum folding, no appends to pending.
-func (s *TxnStream) skipTxn() {
-	t := s.rng.Intn(s.db.tuples)
-	s.permBuf = s.rng.PermInto(s.permBuf, FieldsPerTuple)
-	fields := s.permBuf[:s.mix.Fields()]
-	idx := 0
-	for i := 0; i < s.mix.RO; i++ {
-		s.readVal(t, fields[idx])
-		idx++
-	}
-	for i := 0; i < s.mix.WO; i++ {
-		s.writeVal(t, fields[idx])
-		idx++
-	}
-	for i := 0; i < s.mix.RW; i++ {
-		s.readVal(t, fields[idx])
-		s.writeVal(t, fields[idx])
-		idx++
-	}
-	s.res.Completed++
-}
-
-// txnInstrs is the exact retired-instruction weight of one transaction's
-// op sequence: the overhead compute block, plus load+Compute(2) per read
-// and store+Compute(2) per write.
-func (s *TxnStream) txnInstrs() uint64 {
-	return txnOverheadInstrs + 3*uint64(s.mix.RO+s.mix.WO) + 6*uint64(s.mix.RW)
-}
-
-// SkipInstrs functionally executes whole transactions without
-// materializing their ops, stopping before max instructions are
-// exceeded. It returns the instructions skipped — zero when buffered ops
-// remain to be drained op-by-op, when the next transaction would not
-// fit, or when the stream is exhausted. The RNG state, checksum,
-// completed count and (overlay or machine) contents advance exactly as
-// if the ops had been generated and discarded.
-func (s *TxnStream) SkipInstrs(max uint64) uint64 {
-	if s.head < len(s.pending) {
-		return 0
-	}
-	ti := s.txnInstrs()
-	var done uint64
-	for done+ti <= max {
-		if s.count > 0 && s.done >= s.count {
-			break
-		}
-		s.skipTxn()
-		s.done++
-		done += ti
-	}
-	return done
-}
-
 // Next implements cpu.Stream.
 func (s *TxnStream) Next() (cpu.Op, bool) {
 	for s.head >= len(s.pending) {

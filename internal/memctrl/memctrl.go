@@ -101,12 +101,6 @@ type Config struct {
 	Sched SchedPolicy
 	Row   RowPolicy
 
-	// MaxPostponedRefreshes lets the controller postpone refreshes while
-	// demand requests are queued, up to this many tREFI periods (DDR3
-	// permits up to 8). Postponed refreshes are issued back-to-back when
-	// the queues drain. Zero disables postponement.
-	MaxPostponedRefreshes int
-
 	// Observer, when non-nil, receives every DDR command the controller
 	// issues — for command traces, protocol checkers, and debugging. It
 	// must not retain the event past the call.
@@ -452,14 +446,9 @@ func (ch *channel) run(now sim.Cycle) {
 
 	// Catch up refresh deadlines skipped while the channel was idle: the
 	// refreshes would have happened in the background, so account them
-	// without replaying each tRFC. With postponement enabled, only debt
-	// beyond the postponement window is "idle history" — debt within the
-	// window is real and is paid with REF commands.
-	window := sim.Cycle(1)
-	if m := ch.ctrl.cfg.MaxPostponedRefreshes; m > 0 {
-		window = sim.Cycle(m)
-	}
-	for ch.nextRefresh+window*sim.Cycle(ch.timing.TREF) < now {
+	// without replaying each tRFC. A deadline within the last tREFI is
+	// still due and is paid with a REF command.
+	for ch.nextRefresh+sim.Cycle(ch.timing.TREF) < now {
 		ch.nextRefresh += sim.Cycle(ch.timing.TREF)
 		ch.ctrl.ctr.Refreshes++
 	}
@@ -475,31 +464,11 @@ func (ch *channel) run(now sim.Cycle) {
 	}
 }
 
-// refreshDue reports whether a refresh must issue now: the deadline has
-// passed and either postponement is exhausted or the channel has no
-// queued demand work.
-func (ch *channel) refreshDue(now sim.Cycle) bool {
-	if now < ch.nextRefresh {
-		return false
-	}
-	max := ch.ctrl.cfg.MaxPostponedRefreshes
-	if max <= 0 {
-		return true
-	}
-	// Idle channels refresh immediately; busy channels postpone until the
-	// debt reaches the cap.
-	if len(ch.readQ) == 0 && len(ch.writeQ) == 0 {
-		return true
-	}
-	debt := (now - ch.nextRefresh) / sim.Cycle(ch.timing.TREF)
-	return int(debt) >= max
-}
-
 // tryIssueOne issues at most one DRAM command at time now. It returns true
 // if a command was issued (more may follow in the same activation).
 func (ch *channel) tryIssueOne(now sim.Cycle) bool {
 	// Refresh has absolute priority once due: close open banks, then REF.
-	if ch.refreshDue(now) {
+	if now >= ch.nextRefresh {
 		return ch.advanceRefresh(now)
 	}
 
@@ -746,7 +715,7 @@ func (ch *channel) nextInterest(now sim.Cycle) (sim.Cycle, bool) {
 		}
 	}
 
-	if ch.refreshDue(now) {
+	if now >= ch.nextRefresh {
 		// Mid-refresh: wake when the blocking PRE/REF becomes legal.
 		for _, rank := range ch.ranks {
 			for b := 0; b < rank.Banks(); b++ {

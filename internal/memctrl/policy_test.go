@@ -148,40 +148,3 @@ func TestFCFSCompletesEverything(t *testing.T) {
 		t.Fatal("no reads completed")
 	}
 }
-
-// TestRefreshPostponement: with postponement enabled, a read arriving
-// just after the refresh deadline is served before the refresh, and the
-// refresh debt is paid once the channel idles.
-func TestRefreshPostponement(t *testing.T) {
-	run := func(postpone int) (readDone sim.Cycle, refreshes uint64) {
-		q := &sim.EventQueue{}
-		cfg := DefaultConfig()
-		cfg.MaxPostponedRefreshes = postpone
-		c, err := New(cfg, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Open a row before the refresh deadline, then read right at it.
-		var done sim.Cycle
-		q.Schedule(100, func(now sim.Cycle) {
-			c.Enqueue(now, &Request{Addr: addr(0, 5, 0)})
-		})
-		q.Schedule(31200, func(now sim.Cycle) {
-			c.Enqueue(now, &Request{Addr: addr(0, 5, 1), OnComplete: func(d sim.Cycle) { done = d }})
-		})
-		// Later idle-time work to let postponed refreshes catch up.
-		q.Schedule(80000, func(now sim.Cycle) {
-			c.Enqueue(now, &Request{Addr: addr(1, 6, 0)})
-		})
-		q.Run()
-		return done, c.Stats().Refreshes
-	}
-	strictDone, strictRefs := run(0)
-	postDone, postRefs := run(8)
-	if postDone >= strictDone {
-		t.Fatalf("postponed read at %d not earlier than strict %d", postDone, strictDone)
-	}
-	if strictRefs == 0 || postRefs == 0 {
-		t.Fatalf("refreshes missing: strict %d, postponed %d", strictRefs, postRefs)
-	}
-}

@@ -274,6 +274,9 @@ type System struct {
 	// prefetchedLines marks L2 lines whose last fill came from a prefetch,
 	// for usefulness accounting.
 	prefetchedLines map[mshrKey]bool
+	// pfBuf is the reusable candidate buffer train and warmTrain pass to
+	// the prefetcher, so a confident training does not allocate.
+	pfBuf []prefetch.Candidate
 
 	// overlapBuf is the reusable result buffer of overlapLines. The slice
 	// it returns aliases this buffer and is only valid until the next
@@ -599,7 +602,8 @@ func (s *System) Access(now sim.Cycle, a Access, onDone func(now sim.Cycle)) (do
 // thrash each other's table entries.
 func (s *System) train(now sim.Cycle, a Access, line addrmap.Addr) {
 	pc := a.PC ^ uint64(a.Core)<<56
-	for _, cand := range s.pf.Observe(pc, line, a.Pattern) {
+	s.pfBuf = s.pf.Observe(s.pfBuf[:0], pc, line, a.Pattern)
+	for _, cand := range s.pfBuf {
 		cl := s.lineOf(cand.Addr)
 		key := mshrKey{cl, cand.Pattern}
 		if _, pending := s.mshrs[key]; pending {

@@ -96,7 +96,8 @@ func (s *System) WarmAccess(a Access) {
 // would fetch them through the controller).
 func (s *System) warmTrain(a Access, line addrmap.Addr) {
 	pc := a.PC ^ uint64(a.Core)<<56
-	for _, cand := range s.pf.Observe(pc, line, a.Pattern) {
+	s.pfBuf = s.pf.Observe(s.pfBuf[:0], pc, line, a.Pattern)
+	for _, cand := range s.pfBuf {
 		cl := s.lineOf(cand.Addr)
 		if present, _ := s.l2.Probe(cl, cand.Pattern); present {
 			continue

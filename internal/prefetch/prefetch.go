@@ -47,7 +47,7 @@ type entry struct {
 
 // Prefetcher is a PC-indexed stride predictor. It is purely reactive:
 // Observe is called for every demand access that reaches the L2, and the
-// returned candidates are issued (or dropped) by the memory system.
+// candidates it appends are issued (or dropped) by the memory system.
 type Prefetcher struct {
 	cfg   Config
 	table []entry
@@ -55,7 +55,7 @@ type Prefetcher struct {
 }
 
 // New returns a prefetcher; a zero-degree config disables it (Observe
-// always returns nil).
+// never appends).
 func New(cfg Config) *Prefetcher {
 	if cfg.TableEntries <= 0 {
 		cfg.TableEntries = 1
@@ -66,13 +66,15 @@ func New(cfg Config) *Prefetcher {
 // Stats returns a snapshot of the counters.
 func (p *Prefetcher) Stats() Stats { return p.stats }
 
-// Observe trains on a demand access (pc, addr, pattern) and returns the
-// prefetch candidates to issue. Candidates carry the same pattern ID as
-// the training stream: a strided pattload stream prefetches further
-// gathered lines, which is what makes GS-DRAM analytics prefetchable.
-func (p *Prefetcher) Observe(pc uint64, addr addrmap.Addr, pattern gsdram.Pattern) []Candidate {
+// Observe trains on a demand access (pc, addr, pattern) and appends the
+// prefetch candidates to issue to dst, returning the extended slice; a
+// caller that reuses one buffer (dst[:0]) trains without allocating.
+// Candidates carry the same pattern ID as the training stream: a strided
+// pattload stream prefetches further gathered lines, which is what makes
+// GS-DRAM analytics prefetchable.
+func (p *Prefetcher) Observe(dst []Candidate, pc uint64, addr addrmap.Addr, pattern gsdram.Pattern) []Candidate {
 	if p.cfg.Degree <= 0 {
-		return nil
+		return dst
 	}
 	p.stats.Trains++
 	// Hash the PC into the table: low PC bits are poorly distributed
@@ -82,7 +84,7 @@ func (p *Prefetcher) Observe(pc uint64, addr addrmap.Addr, pattern gsdram.Patter
 	e := &p.table[(h>>32)%uint64(len(p.table))]
 	if !e.valid || e.pc != pc || e.pattern != pattern {
 		*e = entry{valid: true, pc: pc, lastAdr: addr, pattern: pattern}
-		return nil
+		return dst
 	}
 	stride := int64(addr) - int64(e.lastAdr)
 	if stride == e.stride && stride != 0 {
@@ -97,16 +99,16 @@ func (p *Prefetcher) Observe(pc uint64, addr addrmap.Addr, pattern gsdram.Patter
 	e.lastAdr = addr
 
 	if e.conf < p.cfg.MinConf || e.stride == 0 {
-		return nil
+		return dst
 	}
-	out := make([]Candidate, 0, p.cfg.Degree)
+	n := len(dst)
 	for i := 1; i <= p.cfg.Degree; i++ {
 		next := int64(addr) + e.stride*int64(i)
 		if next < 0 {
 			break
 		}
-		out = append(out, Candidate{Addr: addrmap.Addr(next), Pattern: pattern})
+		dst = append(dst, Candidate{Addr: addrmap.Addr(next), Pattern: pattern})
 	}
-	p.stats.Issues += uint64(len(out))
-	return out
+	p.stats.Issues += uint64(len(dst) - n)
+	return dst
 }

@@ -8,10 +8,10 @@ import (
 
 func TestNoPrefetchUntilConfident(t *testing.T) {
 	p := New(DefaultConfig())
-	if got := p.Observe(1, 0x1000, 0); got != nil {
+	if got := p.Observe(nil, 1, 0x1000, 0); got != nil {
 		t.Fatalf("first access prefetched %v", got)
 	}
-	if got := p.Observe(1, 0x1040, 0); got != nil {
+	if got := p.Observe(nil, 1, 0x1040, 0); got != nil {
 		t.Fatalf("second access (stride unconfirmed) prefetched %v", got)
 	}
 }
@@ -20,7 +20,7 @@ func TestStridedStreamPrefetches(t *testing.T) {
 	p := New(DefaultConfig())
 	var got []Candidate
 	for i := 0; i < 5; i++ {
-		got = p.Observe(1, addrmap.Addr(0x1000+i*64), 0)
+		got = p.Observe(nil, 1, addrmap.Addr(0x1000+i*64), 0)
 	}
 	if len(got) != 4 {
 		t.Fatalf("confident stride issued %d candidates, want degree 4", len(got))
@@ -39,7 +39,7 @@ func TestLargeStride(t *testing.T) {
 	p := New(DefaultConfig())
 	var got []Candidate
 	for i := 0; i < 5; i++ {
-		got = p.Observe(7, addrmap.Addr(0x8000+i*512), 7)
+		got = p.Observe(nil, 7, addrmap.Addr(0x8000+i*512), 7)
 	}
 	if len(got) != 4 {
 		t.Fatalf("issued %d, want 4", len(got))
@@ -58,12 +58,12 @@ func TestLargeStride(t *testing.T) {
 func TestStrideChangeResetsConfidence(t *testing.T) {
 	p := New(DefaultConfig())
 	for i := 0; i < 4; i++ {
-		p.Observe(1, addrmap.Addr(0x1000+i*64), 0)
+		p.Observe(nil, 1, addrmap.Addr(0x1000+i*64), 0)
 	}
-	if got := p.Observe(1, 0x9000, 0); got != nil {
+	if got := p.Observe(nil, 1, 0x9000, 0); got != nil {
 		t.Fatalf("stride break still prefetched %v", got)
 	}
-	if got := p.Observe(1, 0x9040, 0); got != nil {
+	if got := p.Observe(nil, 1, 0x9040, 0); got != nil {
 		t.Fatalf("one match after break prefetched %v", got)
 	}
 }
@@ -72,7 +72,7 @@ func TestRandomAccessesDoNotPrefetch(t *testing.T) {
 	p := New(DefaultConfig())
 	addrs := []addrmap.Addr{0x1000, 0x5000, 0x2000, 0x9000, 0x3000, 0x7000}
 	for _, a := range addrs {
-		if got := p.Observe(2, a, 0); got != nil {
+		if got := p.Observe(nil, 2, a, 0); got != nil {
 			t.Fatalf("random stream prefetched %v", got)
 		}
 	}
@@ -82,8 +82,8 @@ func TestDistinctPCsTrackedSeparately(t *testing.T) {
 	p := New(Config{TableEntries: 256, Degree: 2, MinConf: 2})
 	var a, b []Candidate
 	for i := 0; i < 5; i++ {
-		a = p.Observe(10, addrmap.Addr(0x1000+i*64), 0)
-		b = p.Observe(11, addrmap.Addr(0x90000+i*128), 0)
+		a = p.Observe(nil, 10, addrmap.Addr(0x1000+i*64), 0)
+		b = p.Observe(nil, 11, addrmap.Addr(0x90000+i*128), 0)
 	}
 	if len(a) != 2 || len(b) != 2 {
 		t.Fatalf("per-PC streams issued %d/%d, want 2/2", len(a), len(b))
@@ -96,11 +96,11 @@ func TestDistinctPCsTrackedSeparately(t *testing.T) {
 func TestPatternChangeRetrains(t *testing.T) {
 	p := New(DefaultConfig())
 	for i := 0; i < 5; i++ {
-		p.Observe(1, addrmap.Addr(0x1000+i*64), 0)
+		p.Observe(nil, 1, addrmap.Addr(0x1000+i*64), 0)
 	}
 	// Same PC switches to a patterned stream: must retrain, not prefetch
 	// immediately.
-	if got := p.Observe(1, 0x2000, 7); got != nil {
+	if got := p.Observe(nil, 1, 0x2000, 7); got != nil {
 		t.Fatalf("pattern switch still prefetched %v", got)
 	}
 }
@@ -108,7 +108,7 @@ func TestPatternChangeRetrains(t *testing.T) {
 func TestDisabledPrefetcher(t *testing.T) {
 	p := New(Config{TableEntries: 16, Degree: 0, MinConf: 0})
 	for i := 0; i < 10; i++ {
-		if got := p.Observe(1, addrmap.Addr(0x1000+i*64), 0); got != nil {
+		if got := p.Observe(nil, 1, addrmap.Addr(0x1000+i*64), 0); got != nil {
 			t.Fatal("disabled prefetcher issued candidates")
 		}
 	}
@@ -118,7 +118,7 @@ func TestNegativeStride(t *testing.T) {
 	p := New(DefaultConfig())
 	var got []Candidate
 	for i := 10; i >= 0; i-- {
-		got = p.Observe(1, addrmap.Addr(0x10000+i*64), 0)
+		got = p.Observe(nil, 1, addrmap.Addr(0x10000+i*64), 0)
 	}
 	if len(got) != 4 {
 		t.Fatalf("descending stream issued %d, want 4", len(got))
@@ -132,7 +132,7 @@ func TestNegativeStrideStopsAtZero(t *testing.T) {
 	p := New(DefaultConfig())
 	var got []Candidate
 	for i := 4; i >= 0; i-- {
-		got = p.Observe(1, addrmap.Addr(i*64), 0)
+		got = p.Observe(nil, 1, addrmap.Addr(i*64), 0)
 	}
 	// Address 0 reached; further candidates would be negative.
 	if len(got) != 0 {
@@ -143,7 +143,7 @@ func TestNegativeStrideStopsAtZero(t *testing.T) {
 func TestStatsCounting(t *testing.T) {
 	p := New(DefaultConfig())
 	for i := 0; i < 5; i++ {
-		p.Observe(1, addrmap.Addr(0x1000+i*64), 0)
+		p.Observe(nil, 1, addrmap.Addr(0x1000+i*64), 0)
 	}
 	s := p.Stats()
 	if s.Trains != 5 || s.StrideHits < 3 || s.Issues == 0 {
@@ -154,6 +154,6 @@ func TestStatsCounting(t *testing.T) {
 func TestZeroTableClamped(t *testing.T) {
 	p := New(Config{TableEntries: 0, Degree: 1, MinConf: 1})
 	// Must not panic.
-	p.Observe(123, 0x1000, 0)
-	p.Observe(123, 0x1040, 0)
+	p.Observe(nil, 123, 0x1000, 0)
+	p.Observe(nil, 123, 0x1040, 0)
 }

@@ -25,46 +25,41 @@ import (
 	"gsdram/internal/stats"
 )
 
-// Config parameterises one sampled run. All units are instructions.
+// Config parameterises one sampled run. All units are instructions. The
+// JSON names are the canonical spelling of the experiment spec's
+// sampling section (internal/spec), so they must not change.
 type Config struct {
 	// Interval is the sampling unit: each interval fast-forwards
 	// Interval-Warmup-Measure instructions functionally and simulates
 	// Warmup+Measure in detail. Must exceed Warmup+Measure.
-	Interval uint64
+	Interval uint64 `json:"interval"`
 	// Warmup is the detailed warm-up prefix of each window: simulated
 	// cycle-accurately to re-heat MSHRs, row buffers and queues, but
 	// excluded from the samples.
-	Warmup uint64
+	Warmup uint64 `json:"warmup"`
 	// Measure is the measured suffix of each window.
-	Measure uint64
+	Measure uint64 `json:"measure"`
 	// Seed derives the per-interval window placement (independent of the
 	// workload's own seed).
-	Seed uint64
-
-	// FFWarm bounds functional cache warming to the last FFWarm
-	// instructions of each inter-window gap; the rest of the gap is
-	// bulk-skipped without touching the cache model when the stream
-	// implements Skipper (otherwise the whole gap warms, as if FFWarm
-	// were 0). Zero warms every fast-forwarded instruction — the most
-	// accurate and slowest setting. A bounded tail trades long-lived
-	// cache-state fidelity (far-reuse L2 residency) for speed; the
-	// sample-validate harness measures the resulting bias directly.
-	FFWarm uint64
+	Seed uint64 `json:"seed"`
 }
 
-// confidence is the level of every estimate's Student-t interval.
-const confidence = 0.95
-
-func (c Config) validate() error {
+// Validate reports whether the config describes a runnable sampling
+// schedule: a positive measurement window that fits inside the interval.
+func (c Config) Validate() error {
 	if c.Measure == 0 {
-		return fmt.Errorf("sample: Measure must be positive")
+		return fmt.Errorf("sample: measure must be positive")
 	}
 	if c.Interval <= c.Warmup+c.Measure {
-		return fmt.Errorf("sample: Interval (%d) must exceed Warmup+Measure (%d)",
+		return fmt.Errorf("sample: interval (%d) must exceed warmup + measure (%d)",
 			c.Interval, c.Warmup+c.Measure)
 	}
 	return nil
 }
+
+// confidence is the level of stats.MeanCI's intervals, which every
+// estimate reports.
+const confidence = 0.95
 
 // Target is the rig a sampled run drives: its detailed memory hierarchy
 // and the single instruction stream to execute on core 0. Windows run
@@ -73,17 +68,6 @@ type Target struct {
 	Q      *sim.EventQueue
 	Mem    *memsys.System
 	Stream cpu.Stream
-}
-
-// Skipper is a cpu.Stream that can advance its functional state in bulk,
-// without materializing ops (see imdb.TxnStream.SkipInstrs). SkipInstrs
-// skips at most max instructions — whole work units only — and returns
-// the count skipped; zero means the caller must fall back to pulling ops
-// one at a time (buffered ops, an oversized next unit, or end of
-// stream). Fast-forward uses it for the portion of each gap outside the
-// FFWarm warming tail.
-type Skipper interface {
-	SkipInstrs(max uint64) uint64
 }
 
 // Result is the sampled estimate.
@@ -96,9 +80,9 @@ type Result struct {
 	MeasuredInstructions    uint64
 	WarmupInstructions      uint64
 	FastForwardInstructions uint64
-	// SkippedInstructions is the subset of FastForwardInstructions that
-	// advanced without functional cache warming (the bulk-skip region
-	// outside each gap's FFWarm tail).
+	// SkippedInstructions is always 0: every fast-forwarded instruction
+	// warms the hierarchy. It stays because run documents and committed
+	// result digests carry it.
 	SkippedInstructions uint64
 	// DetailedCycles is the simulated time actually spent in detailed
 	// windows (warm-up + measurement).
@@ -207,7 +191,6 @@ type state struct {
 	interval   uint64 // completed intervals
 	instrs     uint64 // total retired
 	ffInstrs   uint64
-	skipInstrs uint64
 	warmInstrs uint64
 	measInstrs uint64
 	detCycles  uint64
@@ -238,41 +221,11 @@ func intervalRand(seed, k uint64) *sim.Rand {
 	return sim.NewRand(z ^ (z >> 31))
 }
 
-// fastForward executes up to budget instructions functionally. Ops are
-// consumed whole (a compute block may overshoot). The last warmTail
-// instructions of the budget are warmed through the functional cache
-// model; everything before that is bulk-skipped when the stream supports
-// it (ops pulled in the skip region — a partially drained transaction,
-// or one that does not fit the remaining bulk budget — are consumed
-// unwarmed: their functional effects already happened at generation, and
-// only cache warming is elided). Returns false when the stream ended.
-func (st *state) fastForward(f *fastsim.Functional, s cpu.Stream, budget, warmTail uint64) bool {
-	var done uint64
-	if warmTail > budget {
-		warmTail = budget
-	}
-	if sk, ok := s.(Skipper); ok {
-		bulk := budget - warmTail
-		for done < bulk {
-			if n := sk.SkipInstrs(bulk - done); n > 0 {
-				done += n
-				st.instrs += n
-				st.ffInstrs += n
-				st.skipInstrs += n
-				continue
-			}
-			op, ok := s.Next()
-			if !ok {
-				return false
-			}
-			n := instrCount(op)
-			done += n
-			st.instrs += n
-			st.ffInstrs += n
-			st.skipInstrs += n
-		}
-	}
-	for done < budget {
+// fastForward executes up to budget instructions functionally, warming
+// the hierarchy with every memory op. Ops are consumed whole (a compute
+// block may overshoot). Returns false when the stream ended.
+func (st *state) fastForward(f *fastsim.Functional, s cpu.Stream, budget uint64) bool {
+	for done := uint64(0); done < budget; {
 		op, ok := s.Next()
 		if !ok {
 			return false
@@ -384,7 +337,7 @@ func (st *state) window(cfg Config, t Target) (bool, error) {
 // Run executes the target's stream to completion under interval
 // sampling and returns the estimate.
 func Run(cfg Config, t Target) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	l1s, _ := t.Mem.CacheStats()
@@ -392,17 +345,11 @@ func Run(cfg Config, t Target) (*Result, error) {
 	f := fastsim.NewFunctional(t.Mem)
 	slack := cfg.Interval - cfg.Warmup - cfg.Measure
 	// Each iteration fast-forwards the previous interval's post-window
-	// slack plus this interval's offset in one call, so the FFWarm warming
-	// tail always immediately precedes the window.
+	// slack plus this interval's offset in one call.
 	var pending uint64
 	for {
 		off := intervalRand(cfg.Seed, st.interval).Uint64n(slack + 1)
-		gap := pending + off
-		warmTail := gap
-		if cfg.FFWarm > 0 {
-			warmTail = cfg.FFWarm
-		}
-		if !st.fastForward(f, t.Stream, gap, warmTail) {
+		if !st.fastForward(f, t.Stream, pending+off) {
 			break
 		}
 		more, err := st.window(cfg, t)
@@ -422,15 +369,15 @@ func (st *state) finalize(cfg Config) (*Result, error) {
 	if len(st.cpis) == 0 {
 		return nil, fmt.Errorf("sample: program ended before any measurement window completed; reduce Interval (%d)", cfg.Interval)
 	}
-	cpi, cpiHalf, err := stats.MeanCI(st.cpis, confidence)
+	cpi, cpiHalf, err := stats.MeanCI(st.cpis)
 	if err != nil {
 		return nil, err
 	}
-	wait, waitHalf, err := stats.MeanCI(st.waits, confidence)
+	wait, waitHalf, err := stats.MeanCI(st.waits)
 	if err != nil {
 		return nil, err
 	}
-	epi, epiHalf, err := stats.MeanCI(st.epis, confidence)
+	epi, epiHalf, err := stats.MeanCI(st.epis)
 	if err != nil {
 		return nil, err
 	}
@@ -440,7 +387,6 @@ func (st *state) finalize(cfg Config) (*Result, error) {
 		MeasuredInstructions:    st.measInstrs,
 		WarmupInstructions:      st.warmInstrs,
 		FastForwardInstructions: st.ffInstrs,
-		SkippedInstructions:     st.skipInstrs,
 		DetailedCycles:          st.detCycles,
 		CPI:                     cpi,
 		CPIHalf:                 cpiHalf,

@@ -41,12 +41,11 @@ var registry = []entry{
 		return r, fig9Summary(r), []*stats.Table{r.Table()}, nil
 	}},
 	{"fig9sampled", func(s *Spec, opts bench.Options) (any, any, []*stats.Table, error) {
-		// Always sampled, independent of the spec's Sample section: this
-		// run keeps a wall-clock row in the -json document so bench-gate
-		// can regression-gate the sampled path's speed.
+		// Always sampled: a spec without a sampling section runs the
+		// defaults the gsbench -sample-* flags carry.
 		sopts := opts
 		if sopts.Sample == nil {
-			sopts.Sample = DefaultSample().Config()
+			sopts.Sample = DefaultSample()
 		}
 		r, err := bench.RunFig9(sopts)
 		if err != nil {

@@ -22,7 +22,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"runtime/debug"
+	"io"
+	"math/rand/v2"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,30 +34,9 @@ import (
 	"gsdram/internal/telemetry"
 )
 
-// Sample mirrors sample.Config's knobs with stable JSON names, so the
-// canonical encoding cannot drift when the simulator-side struct
-// changes.
-type Sample struct {
-	Interval uint64 `json:"interval"`
-	Warmup   uint64 `json:"warmup"`
-	Measure  uint64 `json:"measure"`
-	Seed     uint64 `json:"seed"`
-	FFWarm   uint64 `json:"ffwarm"`
-}
-
-// Config converts the spec's sampling section into the simulator's.
-func (s *Sample) Config() *sample.Config {
-	if s == nil {
-		return nil
-	}
-	return &sample.Config{
-		Interval: s.Interval,
-		Warmup:   s.Warmup,
-		Measure:  s.Measure,
-		Seed:     s.Seed,
-		FFWarm:   s.FFWarm,
-	}
-}
+// Sample is the spec's sampling section. sample.Config carries the
+// canonical JSON names, so the spec hashes the simulator's own struct.
+type Sample = sample.Config
 
 // DefaultSample returns the sampling configuration the gsbench flags
 // default to; fig9sampled falls back to it when a spec carries no
@@ -183,7 +164,10 @@ func (s *Spec) BenchOptions() bench.Options {
 	if len(s.GemmSizes) > 0 {
 		o.GemmSizes = append([]int(nil), s.GemmSizes...)
 	}
-	o.Sample = s.Sample.Config()
+	if s.Sample != nil {
+		sc := *s.Sample
+		o.Sample = &sc
+	}
 	return o
 }
 
@@ -226,37 +210,38 @@ var (
 	fingerprint     string
 )
 
-// DefaultFingerprint identifies the simulator code that is running:
-// bench.SimVersion (bumped by hand when simulation semantics change)
-// plus, when the binary carries VCS build info, the commit revision and
-// dirty bit. Every commit therefore invalidates the result cache
-// automatically — conservative, but a stale hit can never happen — and
-// builds without VCS stamps (go test, plain go run) still degrade to
-// the hand-bumped version rather than colliding on an empty string.
+// DefaultFingerprint identifies the simulator code that is running: the
+// SHA-256 of the running executable, computed once per process. Any
+// code change — a commit, an uncommitted edit, a go run or go test
+// build — yields a different binary and so a different fingerprint,
+// while repeated builds of one tree are byte-identical and share cached
+// results. If the executable cannot be read, the fingerprint is a
+// per-process random value: every cache lookup then misses, which costs
+// time but can never return a stale result.
 func DefaultFingerprint() string {
 	fingerprintOnce.Do(func() {
-		fingerprint = bench.SimVersion
-		bi, ok := debug.ReadBuildInfo()
-		if !ok {
-			return
+		exe, err := os.Executable()
+		if err == nil {
+			fingerprint, err = fileFingerprint(exe)
 		}
-		var rev, dirty string
-		for _, kv := range bi.Settings {
-			switch kv.Key {
-			case "vcs.revision":
-				rev = kv.Value
-			case "vcs.modified":
-				if kv.Value == "true" {
-					dirty = "-dirty"
-				}
-			}
-		}
-		if rev != "" {
-			if len(rev) > 12 {
-				rev = rev[:12]
-			}
-			fingerprint += "+" + rev + dirty
+		if err != nil {
+			fingerprint = fmt.Sprintf("random:%016x%016x", rand.Uint64(), rand.Uint64())
 		}
 	})
 	return fingerprint
+}
+
+// fileFingerprint names a file's contents: "sha256:" and the lowercase
+// hex SHA-256.
+func fileFingerprint(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -2,11 +2,12 @@ package spec
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"gsdram/internal/bench"
 	"gsdram/internal/telemetry"
 )
 
@@ -26,7 +27,7 @@ func baseSpec() Spec {
 		Seed:        42,
 		Workers:     2,
 		NoInline:    false,
-		Sample:      &Sample{Interval: 16384, Warmup: 512, Measure: 1024, Seed: 1, FFWarm: 4096},
+		Sample:      &Sample{Interval: 16384, Warmup: 512, Measure: 1024, Seed: 1},
 		Telemetry:   true,
 		Epoch:       100000,
 		Fingerprint: "gsdram-sim/test",
@@ -220,13 +221,39 @@ func TestNames(t *testing.T) {
 	}
 }
 
+// TestDefaultFingerprint: the fingerprint is a digest of the running
+// executable, so any one-byte difference in the code changes it.
 func TestDefaultFingerprint(t *testing.T) {
-	fp := DefaultFingerprint()
-	if !strings.HasPrefix(fp, bench.SimVersion) {
-		t.Fatalf("fingerprint %q does not start with SimVersion %q", fp, bench.SimVersion)
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
+	if err := os.WriteFile(a, []byte("gsdram-sim\x00"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if fp != DefaultFingerprint() {
-		t.Fatalf("fingerprint not stable")
+	if err := os.WriteFile(b, []byte("gsdram-sim\x01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fa, err := fileFingerprint(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := fileFingerprint(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fa == fb {
+		t.Fatalf("files differing in one byte share fingerprint %q", fa)
+	}
+
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fileFingerprint(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := DefaultFingerprint(); got != want {
+		t.Fatalf("DefaultFingerprint() = %q, want the executable's %q", got, want)
 	}
 }
 

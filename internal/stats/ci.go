@@ -5,54 +5,23 @@ import (
 	"math"
 )
 
-// tTable holds two-sided Student-t quantiles for 1..30 degrees of
-// freedom, one column per supported confidence level; beyond 30 degrees
-// the normal quantile is used (the classic sampled-simulation regime:
-// SMARTS sizes its interval count so the CLT applies).
-var tTable = map[float64]struct {
-	byDF [30]float64
-	z    float64
-}{
-	0.90: {
-		byDF: [30]float64{
-			6.314, 2.920, 2.353, 2.132, 2.015, 1.943, 1.895, 1.860, 1.833, 1.812,
-			1.796, 1.782, 1.771, 1.761, 1.753, 1.746, 1.740, 1.734, 1.729, 1.725,
-			1.721, 1.717, 1.714, 1.711, 1.708, 1.706, 1.703, 1.701, 1.699, 1.697,
-		},
-		z: 1.645,
-	},
-	0.95: {
-		byDF: [30]float64{
-			12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
-			2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
-			2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
-		},
-		z: 1.960,
-	},
-	0.99: {
-		byDF: [30]float64{
-			63.657, 9.925, 5.841, 4.604, 4.032, 3.707, 3.499, 3.355, 3.250, 3.169,
-			3.106, 3.055, 3.012, 2.977, 2.947, 2.921, 2.898, 2.878, 2.861, 2.845,
-			2.831, 2.819, 2.807, 2.797, 2.787, 2.779, 2.771, 2.763, 2.756, 2.750,
-		},
-		z: 2.576,
-	},
+// tTable holds the two-sided 95% Student-t quantiles for 1..30 degrees
+// of freedom; beyond 30 degrees TQuantile uses the normal quantile (the
+// classic sampled-simulation regime: SMARTS sizes its interval count so
+// the CLT applies).
+var tTable = [30]float64{
+	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
 }
 
-// TQuantile returns the two-sided Student-t critical value for the given
-// confidence level (0.90, 0.95 or 0.99) and degrees of freedom.
-func TQuantile(conf float64, df int) (float64, error) {
-	tab, ok := tTable[conf]
-	if !ok {
-		return 0, fmt.Errorf("stats: unsupported confidence level %g (use 0.90, 0.95 or 0.99)", conf)
+// TQuantile returns the two-sided 95% Student-t critical value for
+// df >= 1 degrees of freedom.
+func TQuantile(df int) float64 {
+	if df <= len(tTable) {
+		return tTable[df-1]
 	}
-	if df < 1 {
-		return 0, fmt.Errorf("stats: need at least 2 samples for a confidence interval")
-	}
-	if df <= len(tab.byDF) {
-		return tab.byDF[df-1], nil
-	}
-	return tab.z, nil
+	return 1.960
 }
 
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
@@ -68,10 +37,10 @@ func Mean(xs []float64) float64 {
 }
 
 // MeanCI returns the sample mean of xs and the half-width of its
-// two-sided Student-t confidence interval at the given confidence level
-// (0.90, 0.95 or 0.99). A single sample yields a zero half-width — there
-// is no variance estimate — and an empty slice is an error.
-func MeanCI(xs []float64, conf float64) (mean, half float64, err error) {
+// two-sided 95% Student-t confidence interval. A single sample yields a
+// zero half-width — there is no variance estimate — and an empty slice
+// is an error.
+func MeanCI(xs []float64) (mean, half float64, err error) {
 	if len(xs) == 0 {
 		return 0, 0, fmt.Errorf("stats: no samples")
 	}
@@ -85,9 +54,5 @@ func MeanCI(xs []float64, conf float64) (mean, half float64, err error) {
 		ss += d * d
 	}
 	sd := math.Sqrt(ss / float64(len(xs)-1))
-	t, err := TQuantile(conf, len(xs)-1)
-	if err != nil {
-		return 0, 0, err
-	}
-	return mean, t * sd / math.Sqrt(float64(len(xs))), nil
+	return mean, TQuantile(len(xs)-1) * sd / math.Sqrt(float64(len(xs))), nil
 }

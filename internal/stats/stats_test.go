@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -102,5 +103,37 @@ func TestAddfHandlesInts(t *testing.T) {
 	tb.Addf(42)
 	if !strings.Contains(tb.String(), "42") {
 		t.Error("int cell lost")
+	}
+}
+
+func TestMeanCI(t *testing.T) {
+	if _, _, err := MeanCI(nil); err == nil {
+		t.Error("empty slice: no error")
+	}
+	cases := []struct {
+		name       string
+		xs         []float64
+		mean, half float64
+	}{
+		{"one sample", []float64{5}, 5, 0},
+		{"three samples", []float64{1, 2, 3}, 2, 4.303 / math.Sqrt(3)},
+	}
+	for _, tc := range cases {
+		mean, half, err := MeanCI(tc.xs)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if mean != tc.mean || math.Abs(half-tc.half) > 1e-12 {
+			t.Errorf("%s: MeanCI = %v ± %v, want %v ± %v", tc.name, mean, half, tc.mean, tc.half)
+		}
+	}
+	for _, tc := range []struct {
+		df   int
+		want float64
+	}{{1, 12.706}, {2, 4.303}, {30, 2.042}, {31, 1.960}, {1000, 1.960}} {
+		if got := TQuantile(tc.df); got != tc.want {
+			t.Errorf("TQuantile(%d) = %v, want %v", tc.df, got, tc.want)
+		}
 	}
 }

@@ -23,7 +23,7 @@
 //	        [-xmodes] [-indexed] [-pseed P]
 //	        [-inject none|shuffle-swap|index-perm] [-repro-out FILE]
 //	gsbench serve [-addr HOST:PORT] [-cache-dir DIR] [-farm-workers N]
-//	        [-retries N] [-flight-dir DIR] [-drain-timeout D]
+//	        [-flight-dir DIR] [-drain-timeout D]
 //	        [-log-format text|json] [-pprof]
 //	gsbench sweep [-server URL | -cache-dir DIR] [-exp LIST] [-tuples LIST]
 //	        [-txns LIST] [-seeds LIST] [-out DIR] [-json FILE] [-trace-out FILE]
@@ -93,11 +93,14 @@
 // (internal/refmodel) and diff-checks every loaded value, the final
 // memory image, and cache state. A failing program is shrunk to a
 // minimal reproducer; replay one with -pseed using the seed printed in
-// the failure report. -indexed additionally generates indexed
-// gatherv/scatterv ops (explicit index vectors through the coalescer),
-// and -inject plants a known bug in the simulator side as a self-test
-// of the oracle (index-perm swaps the first two values of every
-// multi-element gatherv).
+// the failure report. -noinline verifies the pure event-driven path
+// instead of the event-skipping one; -xmodes verifies every program on
+// all three execution paths (event-skipping, event-driven and the
+// functional fast-forward that interval sampling relies on). -indexed
+// additionally generates indexed gatherv/scatterv ops (explicit index
+// vectors through the coalescer), and -inject plants a known bug in the
+// simulator side as a self-test of the oracle (index-perm swaps the
+// first two values of every multi-element gatherv).
 //
 // The hashjoin, spmv and ptrchase experiments exercise the indexed
 // gather/scatter path (DESIGN.md §5.10): each compares a scalar

@@ -31,13 +31,12 @@ func serveCmd(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8573", "listen address")
 	cacheDir := fs.String("cache-dir", "gsbench-cache", "content-addressed result cache directory (sharable between servers)")
 	workers := fs.Int("farm-workers", 0, "concurrent sweep points in this process (0 = GOMAXPROCS); telemetered and untelemetered points alike run concurrently, and each point still parallelizes internally per its spec")
-	retries := fs.Int("retries", 1, "times a point is re-executed after a worker failure before it is marked failed")
-	flightDir := fs.String("flight-dir", "", "directory for flight-recorder dumps of failed points (one <spechash>.flight.ndjson per first-failing point; empty = disabled)")
+	flightDir := fs.String("flight-dir", "", "directory for flight-recorder dumps of failed points (one <spechash>.flight.ndjson per failed point; empty = disabled)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Minute, "how long a shutdown signal waits for in-flight points")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gsbench serve [-addr HOST:PORT] [-cache-dir DIR] [-farm-workers N] [-retries N] [-flight-dir DIR] [-log-format text|json] [-pprof]")
+		fmt.Fprintln(os.Stderr, "usage: gsbench serve [-addr HOST:PORT] [-cache-dir DIR] [-farm-workers N] [-flight-dir DIR] [-log-format text|json] [-pprof]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -68,7 +67,7 @@ func serveCmd(args []string) error {
 			return err
 		}
 	}
-	engine := farm.New(cache, farm.Options{Workers: *workers, Retries: *retries, Logger: logger, FlightDir: *flightDir})
+	engine := farm.New(cache, farm.Options{Workers: *workers, Logger: logger, FlightDir: *flightDir})
 	engine.Start()
 
 	ln, err := net.Listen("tcp", *addr)
@@ -102,8 +101,7 @@ func serveCmd(args []string) error {
 	}()
 
 	logger.Info("listening", "url", fmt.Sprintf("http://%s", ln.Addr()),
-		"cache", cache.Dir(), "workers", engine.Workers(), "retries", *retries,
-		"pprof", *pprofOn)
+		"cache", cache.Dir(), "workers", engine.Workers(), "pprof", *pprofOn)
 	if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

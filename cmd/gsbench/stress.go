@@ -23,7 +23,7 @@ func stressCmd(args []string) error {
 		doShrink = fs.Bool("shrink", true, "shrink the first failing program to a minimal reproducer")
 		workers  = fs.Int("workers", 0, "concurrent differential runs (0 = GOMAXPROCS, 1 = serial)")
 		noInline = fs.Bool("noinline", false, "verify the pure event-driven path instead of the event-skipping one")
-		xmodes   = fs.Bool("xmodes", false, "verify BOTH execution paths for every program (overrides -noinline)")
+		xmodes   = fs.Bool("xmodes", false, "verify every program on all three execution paths: event-skipping, event-driven and functional (overrides -noinline)")
 		indexed  = fs.Bool("indexed", false, "generate programs with gatherv/scatterv ops (indexed access path)")
 		inject   = fs.String("inject", "none", "deterministic fault to plant in the simulator side: none|shuffle-swap|index-perm (self-test of the oracle)")
 		reproOut = fs.String("repro-out", "", "write the (shrunk) failing program to FILE")
@@ -46,15 +46,32 @@ func stressCmd(args []string) error {
 	default:
 		return fmt.Errorf("stress: unknown -inject %q", *inject)
 	}
-	modes := []stress.Options{{NoInline: *noInline, Inject: inj}}
+	// A path is the cycle-level stress.Run with opts, or the functional
+	// fast-forward stress.RunFunctional.
+	type path struct {
+		opts       stress.Options
+		functional bool
+	}
+	paths := []path{{opts: stress.Options{NoInline: *noInline, Inject: inj}}}
 	if *xmodes {
-		modes = []stress.Options{{Inject: inj}, {NoInline: true, Inject: inj}}
+		paths = []path{
+			{opts: stress.Options{Inject: inj}},
+			{opts: stress.Options{NoInline: true, Inject: inj}},
+			{functional: true},
+		}
+	}
+	run := func(p stress.Program, pa path) (*stress.Result, error) {
+		if pa.functional {
+			res, _, err := stress.RunFunctional(p)
+			return res, err
+		}
+		return stress.Run(p, pa.opts)
 	}
 	gcfg := stress.GenConfig{Indexed: *indexed}
 
 	type failure struct {
 		seed uint64
-		opts stress.Options
+		path path
 		div  *stress.Divergence
 	}
 	seeds := runner.Seeds(*seed, *count)
@@ -77,13 +94,13 @@ func stressCmd(args []string) error {
 		mu.Lock()
 		totalOps += len(p.Ops)
 		mu.Unlock()
-		for _, opts := range modes {
-			res, err := stress.Run(p, opts)
+		for _, pa := range paths {
+			res, err := run(p, pa)
 			if err != nil {
 				return fmt.Errorf("program %d (seed %d): %w", i, seeds[i], err)
 			}
 			if res.Div != nil {
-				fails[i] = &failure{seed: seeds[i], opts: opts, div: res.Div}
+				fails[i] = &failure{seed: seeds[i], path: pa, div: res.Div}
 				return fmt.Errorf("program %d (seed %d) diverged: %s", i, seeds[i], res.Div)
 			}
 		}
@@ -97,7 +114,7 @@ func stressCmd(args []string) error {
 	if err == nil {
 		modeNames := "event-skipping"
 		if *xmodes {
-			modeNames = "event-skipping + event-driven"
+			modeNames = "event-skipping + event-driven + functional"
 		} else if *noInline {
 			modeNames = "event-driven"
 		}
@@ -122,19 +139,27 @@ func stressCmd(args []string) error {
 	p := stress.GenerateWith(f.seed, gcfg)
 	div := f.div
 	if *doShrink {
-		p, div = stress.Shrink(p, stress.Checker(f.opts))
+		// As in stress.Checker, a malformed candidate counts as passing.
+		p, div = stress.Shrink(p, func(c stress.Program) *stress.Divergence {
+			if res, err := run(c, f.path); err == nil {
+				return res.Div
+			}
+			return nil
+		})
 		fmt.Printf("stress: shrunk to %d ops / %d region(s) / %d core(s)\n", len(p.Ops), len(p.Regions), p.Cores)
 	}
 	report := stress.ShrinkReport(p, div)
 	fmt.Println(report)
 	mode := ""
-	if f.opts.NoInline {
+	if f.path.functional {
+		mode = " -xmodes"
+	} else if f.path.opts.NoInline {
 		mode = " -noinline"
 	}
 	if *indexed {
 		mode += " -indexed"
 	}
-	switch f.opts.Inject {
+	switch f.path.opts.Inject {
 	case stress.InjectShuffleSwap:
 		mode += " -inject shuffle-swap"
 	case stress.InjectIndexPerm:
@@ -148,8 +173,11 @@ func stressCmd(args []string) error {
 		fmt.Printf("reproducer written to %s\n", *reproOut)
 		// Flight-record a re-run of the shrunk program next to the
 		// reproducer, with events touching the diverging line marked.
+		// The functional path keeps no event log.
 		flightPath := *reproOut + ".flight.ndjson"
-		if werr := writeStressFlight(p, f.opts, flightPath); werr != nil {
+		if f.path.functional {
+			fmt.Println("no flight dump: the functional path records no events")
+		} else if werr := writeStressFlight(p, f.path.opts, flightPath); werr != nil {
 			fmt.Printf("flight dump failed: %v\n", werr)
 		} else {
 			fmt.Printf("flight dump written to %s\n", flightPath)

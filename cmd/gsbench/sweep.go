@@ -25,7 +25,6 @@ type sweepFlags struct {
 	server   string
 	cacheDir string
 	workers  int // farm workers, in-process mode
-	retries  int
 
 	exps   []string
 	tuples []int
@@ -136,14 +135,13 @@ func (sf *sweepFlags) expandSweep() ([]spec.Spec, error) {
 
 // sweepPointSummary is one point's final state in the -json summary.
 type sweepPointSummary struct {
-	Index    int              `json:"index"`
-	Spec     spec.Spec        `json:"spec"`
-	Hash     string           `json:"hash"`
-	Status   farm.PointStatus `json:"status"`
-	Cached   bool             `json:"cached"`
-	Attempts int              `json:"attempts"`
-	WallNS   int64            `json:"wall_ns"`
-	Error    string           `json:"error,omitempty"`
+	Index  int              `json:"index"`
+	Spec   spec.Spec        `json:"spec"`
+	Hash   string           `json:"hash"`
+	Status farm.PointStatus `json:"status"`
+	Cached bool             `json:"cached"`
+	WallNS int64            `json:"wall_ns"`
+	Error  string           `json:"error,omitempty"`
 }
 
 // sweepSummary is the -json summary document of one sweep submission.
@@ -168,7 +166,6 @@ func sweepCmd(args []string) error {
 	fs.StringVar(&sf.server, "server", "", "farm server base URL (e.g. http://127.0.0.1:8573); empty runs the sweep in-process")
 	fs.StringVar(&sf.cacheDir, "cache-dir", "gsbench-cache", "result cache directory for in-process sweeps")
 	fs.IntVar(&sf.workers, "farm-workers", 0, "concurrent sweep points for in-process sweeps (0 = GOMAXPROCS)")
-	fs.IntVar(&sf.retries, "retries", 1, "per-point re-executions after a worker failure (in-process sweeps)")
 	exps := fs.String("exp", "fig9", "comma-separated experiments to sweep")
 	tuples := fs.String("tuples", strconv.Itoa(defOpts.Tuples), "comma-separated table sizes")
 	txns := fs.String("txns", strconv.Itoa(defOpts.Txns), "comma-separated transaction counts")
@@ -307,7 +304,7 @@ func runSweep(sf *sweepFlags, points []spec.Spec) error {
 		if err != nil {
 			return err
 		}
-		engine := farm.New(cache, farm.Options{Workers: sf.workers, Retries: sf.retries})
+		engine := farm.New(cache, farm.Options{Workers: sf.workers})
 		engine.Start()
 		job, err := engine.Submit(points)
 		if err != nil {
@@ -349,14 +346,13 @@ func runSweep(sf *sweepFlags, points []spec.Spec) error {
 	}
 	for i := range points {
 		ps := sweepPointSummary{
-			Index:    i,
-			Spec:     points[i],
-			Hash:     hashes[i],
-			Status:   final[i].Status,
-			Cached:   final[i].Cached,
-			Attempts: final[i].Attempts,
-			WallNS:   final[i].WallNS,
-			Error:    final[i].Error,
+			Index:  i,
+			Spec:   points[i],
+			Hash:   hashes[i],
+			Status: final[i].Status,
+			Cached: final[i].Cached,
+			WallNS: final[i].WallNS,
+			Error:  final[i].Error,
 		}
 		if ps.Status == "" {
 			ps.Status = farm.PointPending

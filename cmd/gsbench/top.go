@@ -98,11 +98,11 @@ func renderTop(server string, st *farm.Stats, jobs []farm.JobSummary, rate float
 	fmt.Fprintf(&b, "points: %d submitted, %d done (%d cached / %d executed, %.0f%% hit), %d failed\n",
 		st.Points.Submitted, st.Points.Completed, st.Points.Cached,
 		st.Points.Executed, hitRate, st.Points.Failed)
-	fmt.Fprintf(&b, "rate %.2f pts/s  latency p50 %s  p95 %s  dedup waits %d  retries %d\n",
+	fmt.Fprintf(&b, "rate %.2f pts/s  latency p50 %s  p95 %s  dedup waits %d\n",
 		rate,
 		(time.Duration(st.PointLatP50US) * time.Microsecond).Round(time.Millisecond),
 		(time.Duration(st.PointLatP95US) * time.Microsecond).Round(time.Millisecond),
-		st.SingleflightWaits, st.Retries)
+		st.SingleflightWaits)
 	fmt.Fprintf(&b, "cache: %d hits, %d misses, %d puts\n\n",
 		st.Cache.Hits, st.Cache.Misses, st.Cache.Puts)
 

@@ -103,6 +103,35 @@ type FuncStream func() (Op, bool)
 // Next implements Stream.
 func (f FuncStream) Next() (Op, bool) { return f() }
 
+// OpQueue is the FIFO a lazy stream generator fills one group of ops at
+// a time (a tuple, a row, a transaction) and drains in order. It rewinds
+// when drained, so every group reuses one backing array and a stream
+// allocates nothing for its queue in steady state. A queued op's Addrs
+// vector is not copied: it keeps its own storage, per the Op contract.
+type OpQueue struct {
+	ops  []Op
+	head int
+}
+
+// Push appends ops to the queue.
+func (q *OpQueue) Push(ops ...Op) { q.ops = append(q.ops, ops...) }
+
+// Empty reports whether every pushed op has been popped.
+func (q *OpQueue) Empty() bool { return q.head == len(q.ops) }
+
+// Pop returns the oldest queued op, or ok=false if the queue is empty.
+func (q *OpQueue) Pop() (Op, bool) {
+	if q.Empty() {
+		return Op{}, false
+	}
+	op := q.ops[q.head]
+	q.head++
+	if q.Empty() {
+		q.ops, q.head = q.ops[:0], 0
+	}
+	return op, true
+}
+
 // SliceStream returns a Stream over a fixed op sequence.
 func SliceStream(ops []Op) Stream {
 	i := 0

@@ -9,12 +9,13 @@
 // trustworthy.
 //
 // The engine deduplicates identical points in flight (single-flight per
-// spec hash), retries points whose worker fails or panics, streams
-// per-point progress events (including lifecycle spans), and drains
-// gracefully: a draining engine rejects new sweeps but finishes every
-// accepted point. It also observes itself: point counters, latency
-// histograms, and queue gauges are exportable in the Prometheus text
-// format via WriteMetrics.
+// spec hash), marks a point failed when its worker fails or panics
+// (the simulation is deterministic, so a re-run would fail the same
+// way), streams per-point progress events (including lifecycle spans),
+// and drains gracefully: a draining engine rejects new sweeps but
+// finishes every accepted point. It also observes itself: point
+// counters, latency histograms, and queue gauges are exportable in the
+// Prometheus text format via WriteMetrics.
 package farm
 
 import (
@@ -46,18 +47,15 @@ type Options struct {
 	// internal/bench.Capture), not session-global — and each point
 	// additionally parallelizes internally via its spec's Workers field.
 	Workers int
-	// Retries is how many times a point is re-executed after a worker
-	// failure (error or panic) before the point is marked failed.
-	Retries int
 	// Runner overrides the execution function (nil = spec.RunDocument).
 	Runner Runner
 	// Logger receives structured engine events (job accepted, point
-	// done/failed, retries). Nil discards them.
+	// done/failed). Nil discards them.
 	Logger *slog.Logger
 	// FlightDir, when non-empty, enables regression forensics for
-	// troubled points: the first failed attempt of a point triggers a
-	// flight-recorded re-run (spec.DumpFlight) whose NDJSON dump is
-	// written to <FlightDir>/<hash12>.flight.ndjson. Empty disables.
+	// troubled points: a failed point triggers a flight-recorded re-run
+	// (spec.DumpFlight) whose NDJSON dump is written to
+	// <FlightDir>/<hash12>.flight.ndjson. Empty disables.
 	FlightDir string
 }
 
@@ -72,7 +70,6 @@ type Engine struct {
 	cache     *resultcache.Cache
 	runner    Runner
 	workers   int
-	retries   int
 	logger    *slog.Logger
 	flightDir string
 	began     time.Time
@@ -96,7 +93,6 @@ type Engine struct {
 	cachedPts    metrics.Counter
 	executedPts  metrics.Counter
 	failedPts    metrics.Counter
-	retriedPts   metrics.Counter
 	dedupWaits   metrics.Counter
 	pointLat     metrics.Histogram             // executed-point wall µs
 	runDur       map[string]*metrics.Histogram // per-experiment wall µs
@@ -108,7 +104,6 @@ func New(cache *resultcache.Cache, opts Options) *Engine {
 		cache:     cache,
 		runner:    opts.Runner,
 		workers:   opts.Workers,
-		retries:   opts.Retries,
 		logger:    opts.Logger,
 		flightDir: opts.FlightDir,
 		began:     time.Now(),
@@ -121,9 +116,6 @@ func New(cache *resultcache.Cache, opts Options) *Engine {
 	}
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
-	}
-	if e.retries < 0 {
-		e.retries = 0
 	}
 	if e.logger == nil {
 		e.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -242,7 +234,6 @@ type Stats struct {
 
 	Points            PointStats `json:"points"`
 	SingleflightWaits uint64     `json:"singleflight_waits"`
-	Retries           uint64     `json:"retries"`
 	// Point latency quantiles over executed (non-cached) points, from
 	// the power-of-2 latency histogram (upper bounds, so exact to
 	// within a factor of 2).
@@ -271,7 +262,6 @@ func (e *Engine) Stats() Stats {
 			Failed:    e.failedPts.Value(),
 		},
 		SingleflightWaits: e.dedupWaits.Value(),
-		Retries:           e.retriedPts.Value(),
 		PointLatP50US:     e.pointLat.Quantile(0.50),
 		PointLatP95US:     e.pointLat.Quantile(0.95),
 		Cache:             e.cache.Stats(),
@@ -291,13 +281,12 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	reg := metrics.New()
 	submitted, completed := e.submittedPts, e.completedPts
 	cached, executed, failed := e.cachedPts, e.executedPts, e.failedPts
-	retried, waits := e.retriedPts, e.dedupWaits
+	waits := e.dedupWaits
 	reg.RegisterCounter("farm.points_submitted", &submitted)
 	reg.RegisterCounter("farm.points_completed", &completed)
 	reg.RegisterCounter("farm.points_cached", &cached)
 	reg.RegisterCounter("farm.points_executed", &executed)
 	reg.RegisterCounter("farm.points_failed", &failed)
-	reg.RegisterCounter("farm.point_retries", &retried)
 	reg.RegisterCounter("farm.singleflight_waits", &waits)
 	cs := e.cache.Stats()
 	hits, misses, puts := metrics.Counter(cs.Hits), metrics.Counter(cs.Misses), metrics.Counter(cs.Puts)
@@ -406,8 +395,8 @@ func (e *Engine) release(hash string) {
 }
 
 // execute runs one spec, converting a worker panic into an error so a
-// crashing point is retried like any other failure instead of taking
-// the server down.
+// crashing point fails like any other instead of taking the server
+// down.
 func (e *Engine) execute(s *spec.Spec) (doc []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -421,7 +410,7 @@ func (e *Engine) execute(s *spec.Spec) (doc []byte, err error) {
 // latency histograms for an executed point. The counters move before
 // the job publishes, so a client that sees the job finish reads final
 // Stats.
-func (e *Engine) finishPoint(j *Job, i, attempts int, cached bool, wallNS int64, experiment string) {
+func (e *Engine) finishPoint(j *Job, i int, cached bool, wallNS int64, experiment string) {
 	e.mu.Lock()
 	e.active--
 	e.completedPts.Inc()
@@ -439,17 +428,16 @@ func (e *Engine) finishPoint(j *Job, i, attempts int, cached bool, wallNS int64,
 		h.Observe(us)
 	}
 	e.mu.Unlock()
-	j.finish(i, attempts, cached, wallNS)
+	j.finish(i, cached, wallNS)
 	e.logger.Info("point done", "job", j.ID, "point", i,
 		"hash", shortHash(j.points[i].Hash), "experiment", experiment,
-		"cached", cached, "attempts", attempts,
-		"dur", time.Duration(wallNS))
+		"cached", cached, "dur", time.Duration(wallNS))
 }
 
 // dumpFlight re-runs a troubled point with the flight recorder armed
 // and writes the NDJSON dump next to the cache. Best-effort: a dump
-// failure is logged, never escalated — the point's retry/fail flow is
-// decided by the original error alone.
+// failure is logged, never escalated — the point fails with its
+// original error alone.
 func (e *Engine) dumpFlight(j *Job, i int, p *Point) {
 	if e.flightDir == "" {
 		return
@@ -481,23 +469,19 @@ func shortHash(h string) string {
 
 // runPoint drives one point to done or failed: cache hit → done
 // (cached); otherwise become the hash's single executor, run, store,
-// done; on failure retry up to Retries times. Followers of an in-flight
-// identical point wait and then take the leader's cached result. Every
-// stage closes a lifecycle span on the point (queued, cache_probe,
+// done, or fail on the first error. Followers of an in-flight identical
+// point wait and then take the leader's cached result. Every stage
+// closes a lifecycle span on the point (queued, cache_probe,
 // singleflight_wait, running, store), emitted as "span" events.
 func (e *Engine) runPoint(t task) {
 	j, i := t.job, t.index
 	p := j.start(i)
-	attempts := 0
-	var lastErr error
 	for {
 		probeStart := j.offset()
 		_, hit, err := e.cache.Get(p.Hash)
 		j.span(i, SpanCacheProbe, probeStart)
-		if err != nil {
-			lastErr = err
-		} else if hit {
-			e.finishPoint(j, i, attempts, true, 0, p.Spec.Experiment)
+		if err == nil && hit {
+			e.finishPoint(j, i, true, 0, p.Spec.Experiment)
 			return
 		}
 		leader, ch := e.acquire(p.Hash)
@@ -513,7 +497,6 @@ func (e *Engine) runPoint(t task) {
 			j.span(i, SpanSingleflightWait, waitStart)
 			continue
 		}
-		attempts++
 		runStart := j.offset()
 		start := time.Now()
 		doc, err := e.execute(&p.Spec)
@@ -526,30 +509,17 @@ func (e *Engine) runPoint(t task) {
 		wall := time.Since(start)
 		e.release(p.Hash)
 		if err == nil {
-			e.finishPoint(j, i, attempts, false, wall.Nanoseconds(), p.Spec.Experiment)
+			e.finishPoint(j, i, false, wall.Nanoseconds(), p.Spec.Experiment)
 			return
 		}
-		lastErr = err
-		if attempts == 1 {
-			// First failure of this point: capture a flight dump before
-			// any retry, while the failure is fresh.
-			e.dumpFlight(j, i, p)
-		}
-		if attempts > e.retries {
-			e.mu.Lock()
-			e.active--
-			e.failedPts.Inc()
-			e.mu.Unlock()
-			j.fail(i, attempts, lastErr)
-			e.logger.Error("point failed", "job", j.ID, "point", i,
-				"hash", shortHash(p.Hash), "experiment", p.Spec.Experiment,
-				"attempts", attempts, "err", lastErr)
-			return
-		}
+		e.dumpFlight(j, i, p)
 		e.mu.Lock()
-		e.retriedPts.Inc()
+		e.active--
+		e.failedPts.Inc()
 		e.mu.Unlock()
-		e.logger.Warn("point retrying", "job", j.ID, "point", i,
-			"hash", shortHash(p.Hash), "attempt", attempts, "err", lastErr)
+		j.fail(i, err)
+		e.logger.Error("point failed", "job", j.ID, "point", i,
+			"hash", shortHash(p.Hash), "experiment", p.Spec.Experiment, "err", err)
+		return
 	}
 }

@@ -163,57 +163,35 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
-// TestRetrySucceeds: a point whose first execution fails (here: a
-// panic) is retried and completes.
-func TestRetrySucceeds(t *testing.T) {
-	var calls atomic.Int64
-	flaky := func(s *spec.Spec) ([]byte, error) {
-		if calls.Add(1) == 1 {
-			panic("simulated worker crash")
-		}
-		return []byte("{\"ok\":true}\n"), nil
-	}
-	e := newEngine(t, Options{Workers: 1, Retries: 2, Runner: flaky})
-
-	j, err := e.Submit([]spec.Spec{point(1)})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	wait(t, j)
-	p := j.Points()[0]
-	if p.Status != PointDone || p.Attempts != 2 {
-		t.Fatalf("point = %+v; want done after 2 attempts", p)
-	}
-	if tot := j.Totals(); tot.Failed != 0 || tot.Executed != 1 {
-		t.Fatalf("totals = %+v", tot)
-	}
-}
-
-// TestRetriesExhausted: a persistently failing point is marked failed
-// after 1 + Retries attempts, and the job still completes.
+// TestRetriesExhausted: a failing point is executed exactly once and
+// marked failed — the simulation is deterministic, so a re-run would
+// fail the same way — and the job still completes. A worker panic
+// fails its point like an error does instead of taking the engine down.
 func TestRetriesExhausted(t *testing.T) {
 	var calls atomic.Int64
 	broken := func(s *spec.Spec) ([]byte, error) {
-		calls.Add(1)
+		if calls.Add(1) == 1 {
+			panic("simulated worker crash")
+		}
 		return nil, fmt.Errorf("injected failure")
 	}
-	e := newEngine(t, Options{Workers: 1, Retries: 1, Runner: broken})
+	e := newEngine(t, Options{Workers: 1, Runner: broken})
 
 	j, err := e.Submit([]spec.Spec{point(1), point(2)})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	wait(t, j)
-	if calls.Load() != 4 { // 2 points x (1 + 1 retry)
-		t.Fatalf("ran %d attempts; want 4", calls.Load())
+	if calls.Load() != 2 { // one execution per point
+		t.Fatalf("ran %d executions; want 2", calls.Load())
 	}
 	tot := j.Totals()
 	if tot.Failed != 2 || tot.Done != 0 {
 		t.Fatalf("totals = %+v; want 2 failed", tot)
 	}
 	for _, p := range j.Points() {
-		if p.Status != PointFailed || p.Attempts != 2 || p.Error == "" {
-			t.Fatalf("point = %+v; want failed with 2 attempts and an error", p)
+		if p.Status != PointFailed || p.Error == "" {
+			t.Fatalf("point = %+v; want failed with an error", p)
 		}
 	}
 }
@@ -363,10 +341,9 @@ func TestEngineRealRunner(t *testing.T) {
 	}
 }
 
-// TestFlightDumpOnFailure: with FlightDir set, a point's FIRST failed
-// attempt produces a flight dump — a deterministic re-run of the spec
-// with the event rings armed — named by the point's short hash, so the
-// forensic record exists even if every retry also fails.
+// TestFlightDumpOnFailure: with FlightDir set, a failed point produces
+// a flight dump — a deterministic re-run of the spec with the event
+// rings armed — named by the point's short hash.
 func TestFlightDumpOnFailure(t *testing.T) {
 	var calls atomic.Int64
 	broken := func(s *spec.Spec) ([]byte, error) {
@@ -374,7 +351,7 @@ func TestFlightDumpOnFailure(t *testing.T) {
 		return nil, fmt.Errorf("injected failure")
 	}
 	dir := t.TempDir()
-	e := newEngine(t, Options{Workers: 1, Retries: 1, Runner: broken, FlightDir: dir})
+	e := newEngine(t, Options{Workers: 1, Runner: broken, FlightDir: dir})
 
 	p := point(1)
 	j, err := e.Submit([]spec.Spec{p})
@@ -397,7 +374,7 @@ func TestFlightDumpOnFailure(t *testing.T) {
 	if !bytes.Contains(lines[0], []byte("gsdram-flight/1")) {
 		t.Fatalf("bad meta line: %s", lines[0])
 	}
-	// One dump per point, from the first attempt only.
+	// One dump per failed point.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -32,9 +32,9 @@ type SpanRec struct {
 }
 
 // The span taxonomy, in lifecycle order. A point emits queued exactly
-// once; the remaining spans repeat per attempt (cache_probe on every
-// loop iteration, singleflight_wait only for followers, running and
-// store only for leaders).
+// once; the remaining spans follow runPoint's loop (cache_probe on
+// every iteration, singleflight_wait only for followers, running and
+// store only for the leader).
 const (
 	SpanQueued           = "queued"
 	SpanCacheProbe       = "cache_probe"
@@ -45,13 +45,12 @@ const (
 
 // Point is one sweep point and its progress.
 type Point struct {
-	Spec     spec.Spec   `json:"spec"`
-	Hash     string      `json:"hash"`
-	Status   PointStatus `json:"status"`
-	Cached   bool        `json:"cached"`
-	Attempts int         `json:"attempts"`
-	WallNS   int64       `json:"wall_ns"`
-	Error    string      `json:"error,omitempty"`
+	Spec   spec.Spec   `json:"spec"`
+	Hash   string      `json:"hash"`
+	Status PointStatus `json:"status"`
+	Cached bool        `json:"cached"`
+	WallNS int64       `json:"wall_ns"`
+	Error  string      `json:"error,omitempty"`
 	// Spans is the point's closed lifecycle spans in completion order.
 	Spans []SpanRec `json:"spans,omitempty"`
 }
@@ -75,13 +74,12 @@ type Event struct {
 	Type string `json:"type"` // "point", "span" or "done"
 	Job  string `json:"job"`
 	// Point fields (Type == "point" or "span").
-	Index    int         `json:"index"`
-	Hash     string      `json:"hash,omitempty"`
-	Status   PointStatus `json:"status,omitempty"`
-	Cached   bool        `json:"cached,omitempty"`
-	Attempts int         `json:"attempts,omitempty"`
-	WallNS   int64       `json:"wall_ns,omitempty"`
-	Error    string      `json:"error,omitempty"`
+	Index  int         `json:"index"`
+	Hash   string      `json:"hash,omitempty"`
+	Status PointStatus `json:"status,omitempty"`
+	Cached bool        `json:"cached,omitempty"`
+	WallNS int64       `json:"wall_ns,omitempty"`
+	Error  string      `json:"error,omitempty"`
 	// Span is the closed lifecycle span of a "span" event.
 	Span *SpanRec `json:"span,omitempty"`
 	// Totals is set on the final "done" event.
@@ -150,13 +148,12 @@ func (j *Job) start(i int) *Point {
 
 // finish marks point i done and emits its event (plus the job's "done"
 // event when it is the last point).
-func (j *Job) finish(i, attempts int, cached bool, wallNS int64) {
+func (j *Job) finish(i int, cached bool, wallNS int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	p := j.points[i]
 	p.Status = PointDone
 	p.Cached = cached
-	p.Attempts = attempts
 	p.WallNS = wallNS
 	j.totals.Done++
 	if cached {
@@ -165,21 +162,20 @@ func (j *Job) finish(i, attempts int, cached bool, wallNS int64) {
 		j.totals.Executed++
 	}
 	j.emit(Event{Type: "point", Index: i, Hash: p.Hash, Status: PointDone,
-		Cached: cached, Attempts: attempts, WallNS: wallNS})
+		Cached: cached, WallNS: wallNS})
 	j.maybeComplete()
 }
 
-// fail marks point i failed after its last attempt.
-func (j *Job) fail(i, attempts int, err error) {
+// fail marks point i failed.
+func (j *Job) fail(i int, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	p := j.points[i]
 	p.Status = PointFailed
-	p.Attempts = attempts
 	p.Error = err.Error()
 	j.totals.Failed++
 	j.emit(Event{Type: "point", Index: i, Hash: p.Hash, Status: PointFailed,
-		Attempts: attempts, Error: p.Error})
+		Error: p.Error})
 	j.maybeComplete()
 }
 

@@ -138,14 +138,14 @@ func (s *SpMV) Stream(gatherv bool, res *SpMVResult) (cpu.Stream, error) {
 		alt = ColPattern
 	}
 	row := 0
-	var pending []cpu.Op
+	var pending cpu.OpQueue
 
 	emitRow := func(r int) {
 		start := r * s.nnzPerRow
 		// Structure streaming: vals and colidx are sequential; charge one
 		// load per cache line (8 words) of each.
 		for k := start; k < start+s.nnzPerRow; k += 8 {
-			pending = append(pending,
+			pending.Push(
 				cpu.Load(s.valAddr(k), 0x4000),
 				cpu.Load(s.colAddr(k), 0x4001),
 			)
@@ -160,16 +160,16 @@ func (s *SpMV) Stream(gatherv bool, res *SpMVResult) (cpu.Stream, error) {
 			y += s.readWord(s.valAddr(k)) * s.readWord(s.xAddr(c))
 		}
 		if gatherv {
-			pending = append(pending, cpu.GatherV(addrs, s.gs, alt, 0x4100))
+			pending.Push(cpu.GatherV(addrs, s.gs, alt, 0x4100))
 		} else {
 			for _, a := range addrs {
 				op := cpu.Load(a, 0x4100)
 				op.Shuffled = s.gs
 				op.AltPattern = alt
-				pending = append(pending, op)
+				pending.Push(op)
 			}
 		}
-		pending = append(pending,
+		pending.Push(
 			cpu.Compute(2*s.nnzPerRow), // FMAs + loop
 			cpu.Store(s.yAddr(r), 0x4200),
 		)
@@ -181,16 +181,14 @@ func (s *SpMV) Stream(gatherv bool, res *SpMVResult) (cpu.Stream, error) {
 	}
 
 	return cpu.FuncStream(func() (cpu.Op, bool) {
-		for len(pending) == 0 {
+		for pending.Empty() {
 			if row >= s.rows {
 				return cpu.Op{}, false
 			}
 			emitRow(row)
 			row++
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending.Pop()
 	}), nil
 }
 

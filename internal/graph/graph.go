@@ -266,7 +266,7 @@ func (g *Graph) PageRankStream(iters int, res *PageRankResult) (cpu.Stream, erro
 		iter, phase, u, e int
 	}
 	st := state{}
-	var pending []cpu.Op
+	var pending cpu.OpQueue
 
 	emitScan := func(u int) {
 		rank, err := g.ReadField(u, FieldRank)
@@ -282,7 +282,7 @@ func (g *Graph) PageRankStream(iters int, res *PageRankResult) (cpu.Stream, erro
 			panic(werr)
 		}
 		// Two field loads + contribution store + divide.
-		pending = append(pending,
+		pending.Push(
 			g.fieldLoad(u, FieldRank, 0x2000),
 			g.fieldLoad(u, FieldDegree, 0x2001),
 			cpu.Compute(4),
@@ -295,7 +295,7 @@ func (g *Graph) PageRankStream(iters int, res *PageRankResult) (cpu.Stream, erro
 		for e := start; e < end; e++ {
 			v := int(g.edges[e])
 			acc[u] += contrib[v]
-			pending = append(pending,
+			pending.Push(
 				cpu.Load(g.edgeAddr(e), 0x2100),
 				cpu.Load(g.contribAddr(v), 0x2101),
 				cpu.Compute(2),
@@ -312,7 +312,7 @@ func (g *Graph) PageRankStream(iters int, res *PageRankResult) (cpu.Stream, erro
 		if err := g.WriteField(u, FieldFlags, uint64(st.iter+1)); err != nil {
 			panic(err)
 		}
-		pending = append(pending,
+		pending.Push(
 			cpu.Compute(5),
 			g.fieldLoad(u, FieldRank, 0x2200),
 			g.fieldStore(u, FieldRank, 0x2201),
@@ -322,7 +322,7 @@ func (g *Graph) PageRankStream(iters int, res *PageRankResult) (cpu.Stream, erro
 
 	finished := false
 	return cpu.FuncStream(func() (cpu.Op, bool) {
-		for len(pending) == 0 {
+		for pending.Empty() {
 			if finished {
 				return cpu.Op{}, false
 			}
@@ -354,9 +354,7 @@ func (g *Graph) PageRankStream(iters int, res *PageRankResult) (cpu.Stream, erro
 				}
 			}
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending.Pop()
 	}), nil
 }
 
@@ -372,14 +370,14 @@ func (g *Graph) UpdateStream(count, fields int, seed uint64) (cpu.Stream, error)
 	}
 	rng := sim.NewRand(seed)
 	done := 0
-	var pending []cpu.Op
+	var pending cpu.OpQueue
 	return cpu.FuncStream(func() (cpu.Op, bool) {
-		for len(pending) == 0 {
+		for pending.Empty() {
 			if done >= count {
 				return cpu.Op{}, false
 			}
 			u := rng.Intn(g.n)
-			pending = append(pending, cpu.Compute(8))
+			pending.Push(cpu.Compute(8))
 			for f := 0; f < fields; f++ {
 				v, err := g.ReadField(u, f)
 				if err != nil {
@@ -388,7 +386,7 @@ func (g *Graph) UpdateStream(count, fields int, seed uint64) (cpu.Stream, error)
 				if err := g.WriteField(u, f, v+1); err != nil {
 					panic(err)
 				}
-				pending = append(pending,
+				pending.Push(
 					g.recordLoad(u, f, 0x2300+uint64(f)),
 					g.recordStore(u, f, 0x2400+uint64(f)),
 					cpu.Compute(2),
@@ -396,9 +394,7 @@ func (g *Graph) UpdateStream(count, fields int, seed uint64) (cpu.Stream, error)
 			}
 			done++
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending.Pop()
 	}), nil
 }
 

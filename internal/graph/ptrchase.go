@@ -81,7 +81,7 @@ func (g *Graph) PtrChaseStream(chains, steps int, seed uint64, gatherv bool, res
 	}
 
 	step := 0
-	var pending []cpu.Op
+	var pending cpu.OpQueue
 
 	emitStep := func() {
 		addrs := make([]addrmap.Addr, chains)
@@ -98,24 +98,22 @@ func (g *Graph) PtrChaseStream(chains, steps int, seed uint64, gatherv bool, res
 			cur[i] = int(v)
 		}
 		if gatherv {
-			pending = append(pending, cpu.GatherV(addrs, shuffled, alt, 0x2500), cpu.Compute(chains))
+			pending.Push(cpu.GatherV(addrs, shuffled, alt, 0x2500), cpu.Compute(chains))
 		} else {
 			for _, u := range heads {
-				pending = append(pending, g.recordLoad(u, FieldDist, 0x2500), cpu.Compute(1))
+				pending.Push(g.recordLoad(u, FieldDist, 0x2500), cpu.Compute(1))
 			}
 		}
 	}
 
 	return cpu.FuncStream(func() (cpu.Op, bool) {
-		for len(pending) == 0 {
+		for pending.Empty() {
 			if step >= steps {
 				return cpu.Op{}, false
 			}
 			emitStep()
 			step++
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending.Pop()
 	}), nil
 }

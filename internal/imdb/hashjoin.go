@@ -63,7 +63,7 @@ func (db *DB) HashJoinStream(probes, batch int, seed uint64, gatherv bool, res *
 
 	buildT := 0
 	probesDone := 0
-	var pending []cpu.Op
+	var pending cpu.OpQueue
 
 	readKey := func(t, f int) uint64 {
 		v, err := db.ReadField(t, f)
@@ -85,10 +85,10 @@ func (db *DB) HashJoinStream(probes, batch int, seed uint64, gatherv bool, res *
 			addrs[i] = db.FieldAddr(t, 0)
 		}
 		if gatherv {
-			pending = append(pending, cpu.GatherV(addrs, shuffled, alt, 0x3000), cpu.Compute(n))
+			pending.Push(cpu.GatherV(addrs, shuffled, alt, 0x3000), cpu.Compute(n))
 		} else {
 			for i := 0; i < n; i++ {
-				pending = append(pending, db.loadOp(buildT+i, 0, 0x3000), cpu.Compute(1))
+				pending.Push(db.loadOp(buildT+i, 0, 0x3000), cpu.Compute(1))
 			}
 		}
 		buildT += n
@@ -108,21 +108,21 @@ func (db *DB) HashJoinStream(probes, batch int, seed uint64, gatherv bool, res *
 			addrs = append(addrs, db.FieldAddr(t, HashJoinPayloadField))
 			matched = append(matched, t)
 		}
-		pending = append(pending, cpu.Compute(2*batch)) // hash + directory walk
+		pending.Push(cpu.Compute(2 * batch)) // hash + directory walk
 		if gatherv {
 			if len(addrs) > 0 {
-				pending = append(pending, cpu.GatherV(addrs, shuffled, alt, 0x3100))
+				pending.Push(cpu.GatherV(addrs, shuffled, alt, 0x3100))
 			}
 		} else {
 			for _, t := range matched {
-				pending = append(pending, db.loadOp(t, HashJoinPayloadField, 0x3100))
+				pending.Push(db.loadOp(t, HashJoinPayloadField, 0x3100))
 			}
 		}
 		probesDone += batch
 	}
 
 	return cpu.FuncStream(func() (cpu.Op, bool) {
-		for len(pending) == 0 {
+		for pending.Empty() {
 			if buildT < db.tuples {
 				emitBuild()
 				continue
@@ -132,9 +132,7 @@ func (db *DB) HashJoinStream(probes, batch int, seed uint64, gatherv bool, res *
 			}
 			emitProbes()
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending.Pop()
 	}), nil
 }
 

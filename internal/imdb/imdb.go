@@ -220,11 +220,7 @@ type TxnStream struct {
 	rng   *sim.Rand
 	res   *TxnResult
 
-	// pending is drained by index and reset (not re-sliced) so the backing
-	// array is reused txn after txn — the stream allocates nothing in
-	// steady state.
-	pending []cpu.Op
-	head    int
+	pending cpu.OpQueue
 	done    int
 	permBuf []int
 
@@ -276,7 +272,7 @@ func (s *TxnStream) Result() *TxnResult { return s.res }
 // transaction is generated; enabling it later would leave earlier writes
 // in the machine and later ones in the overlay.
 func (s *TxnStream) EnableShadow() {
-	if s.done != 0 || len(s.pending) != 0 {
+	if s.done != 0 || !s.pending.Empty() {
 		panic("imdb: EnableShadow after transactions were generated")
 	}
 	// Presize for the stream's total write count (an upper bound on
@@ -320,15 +316,15 @@ func (s *TxnStream) makeTxn() {
 	t := s.rng.Intn(s.db.tuples)
 	s.permBuf = s.rng.PermInto(s.permBuf, FieldsPerTuple)
 	fields := s.permBuf[:s.mix.Fields()]
-	s.pending = append(s.pending, cpu.Compute(txnOverheadInstrs))
+	s.pending.Push(cpu.Compute(txnOverheadInstrs))
 	idx := 0
 	read := func(f int) {
 		s.readVal(t, f)
-		s.pending = append(s.pending, s.db.loadOp(t, f, 0x100+uint64(idx)), cpu.Compute(2))
+		s.pending.Push(s.db.loadOp(t, f, 0x100+uint64(idx)), cpu.Compute(2))
 	}
 	write := func(f int) {
 		s.writeVal(t, f)
-		s.pending = append(s.pending, s.db.storeOp(t, f, 0x200+uint64(idx)), cpu.Compute(2))
+		s.pending.Push(s.db.storeOp(t, f, 0x200+uint64(idx)), cpu.Compute(2))
 	}
 	for i := 0; i < s.mix.RO; i++ {
 		read(fields[idx])
@@ -348,17 +344,14 @@ func (s *TxnStream) makeTxn() {
 
 // Next implements cpu.Stream.
 func (s *TxnStream) Next() (cpu.Op, bool) {
-	for s.head >= len(s.pending) {
-		s.pending, s.head = s.pending[:0], 0
+	for s.pending.Empty() {
 		if s.count > 0 && s.done >= s.count {
 			return cpu.Op{}, false
 		}
 		s.makeTxn()
 		s.done++
 	}
-	op := s.pending[s.head]
-	s.head++
-	return op, true
+	return s.pending.Pop()
 }
 
 // AnalyticsResult holds the functional outcome of an analytics query.
@@ -445,9 +438,9 @@ func (db *DB) analyticsStreamStride(columns []int, stride int, res *AnalyticsRes
 
 	ci := 0 // column index
 	t := 0  // next tuple
-	var pending []cpu.Op
+	var pending cpu.OpQueue
 	return cpu.FuncStream(func() (cpu.Op, bool) {
-		for len(pending) == 0 {
+		for pending.Empty() {
 			if ci >= len(columns) {
 				return cpu.Op{}, false
 			}
@@ -462,9 +455,9 @@ func (db *DB) analyticsStreamStride(columns []int, stride int, res *AnalyticsRes
 			if stride > 1 {
 				patt := gsdram.Pattern(stride - 1)
 				op := cpu.PattLoad(db.GatherLineAddrStride(t, f, stride), patt, pc)
-				pending = append(pending, op, cpu.Compute(2))
+				pending.Push(op, cpu.Compute(2))
 			} else {
-				pending = append(pending, db.loadOp(t, f, pc), cpu.Compute(2))
+				pending.Push(db.loadOp(t, f, pc), cpu.Compute(2))
 			}
 
 			t++
@@ -473,8 +466,6 @@ func (db *DB) analyticsStreamStride(columns []int, stride int, res *AnalyticsRes
 				ci++
 			}
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending.Pop()
 	}), nil
 }

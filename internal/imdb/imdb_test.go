@@ -276,3 +276,28 @@ func TestTransactionLineFetchShape(t *testing.T) {
 		t.Errorf("GS-DRAM fetched %d lines vs row store %d; want parity", reads[GSStore], reads[RowStore])
 	}
 }
+
+// TestAnalyticsStreamZeroAllocs pins the scan streams' op queue: it
+// rewinds when drained, so refilling it tuple after tuple allocates
+// nothing. Each AllocsPerRun run calls Next 1,000 times because
+// AllocsPerRun divides with integers: at one Next per run, a leak of one
+// allocation per tuple (0.5 per op) would read as 0.
+func TestAnalyticsStreamZeroAllocs(t *testing.T) {
+	for _, layout := range []Layout{RowStore, ColumnStore, GSStore} {
+		db := newDB(t, layout, 1024)
+		s, err := db.AnalyticsStream([]int{0, 1, 2, 3, 4, 5, 6, 7}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			for i := 0; i < 1000; i++ {
+				if _, ok := s.Next(); !ok {
+					t.Fatal("stream ended early")
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: %v allocations per 1,000 ops, want 0", layout, allocs)
+		}
+	}
+}

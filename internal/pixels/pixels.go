@@ -185,9 +185,9 @@ func (img *Image) HistogramStream(channel int, res *HistogramResult) (cpu.Stream
 		res = &HistogramResult{}
 	}
 	p := 0
-	var pending []cpu.Op
+	var pending cpu.OpQueue
 	return cpu.FuncStream(func() (cpu.Op, bool) {
-		for len(pending) == 0 {
+		for pending.Empty() {
 			if p >= img.n {
 				return cpu.Op{}, false
 			}
@@ -197,21 +197,19 @@ func (img *Image) HistogramStream(channel int, res *HistogramResult) (cpu.Stream
 			}
 			res.Bins[v%16]++
 			if img.gs {
-				pending = append(pending,
+				pending.Push(
 					cpu.PattLoad(img.channelLine(p, channel), ChannelPattern, 0x3000),
 					cpu.Compute(3),
 				)
 			} else {
-				pending = append(pending,
+				pending.Push(
 					cpu.Load(img.Addr(p, channel), 0x3000),
 					cpu.Compute(3),
 				)
 			}
 			p++
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending.Pop()
 	}), nil
 }
 
@@ -225,7 +223,7 @@ func (img *Image) ShadeStream(pixelList []int) (cpu.Stream, error) {
 		}
 	}
 	i := 0
-	var pending []cpu.Op
+	var pending cpu.OpQueue
 	mk := func(p, c int, write bool) cpu.Op {
 		var op cpu.Op
 		if write {
@@ -240,13 +238,13 @@ func (img *Image) ShadeStream(pixelList []int) (cpu.Stream, error) {
 		return op
 	}
 	return cpu.FuncStream(func() (cpu.Op, bool) {
-		for len(pending) == 0 {
+		for pending.Empty() {
 			if i >= len(pixelList) {
 				return cpu.Op{}, false
 			}
 			p := pixelList[i]
 			i++
-			pending = append(pending, cpu.Compute(6))
+			pending.Push(cpu.Compute(6))
 			for c := ChanR; c <= ChanB; c++ {
 				v, err := img.Get(p, c)
 				if err != nil {
@@ -255,11 +253,9 @@ func (img *Image) ShadeStream(pixelList []int) (cpu.Stream, error) {
 				if err := img.Set(p, c, (v*205)/256); err != nil {
 					panic(err)
 				}
-				pending = append(pending, mk(p, c, false), mk(p, c, true), cpu.Compute(3))
+				pending.Push(mk(p, c, false), mk(p, c, true), cpu.Compute(3))
 			}
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending.Pop()
 	}), nil
 }

@@ -225,9 +225,9 @@ func (p *Plan) Stream(res *Result) cpu.Stream {
 	db := p.eng.db
 
 	t := 0
-	var pending []cpu.Op
+	var pending cpu.OpQueue
 	return cpu.FuncStream(func() (cpu.Op, bool) {
-		for len(pending) == 0 {
+		for pending.Empty() {
 			if t >= db.Tuples() {
 				return cpu.Op{}, false
 			}
@@ -249,7 +249,7 @@ func (p *Plan) Stream(res *Result) cpu.Stream {
 			// fields and accumulate only for passing tuples.
 			pc := uint64(0x4000)
 			if q.Filter != nil {
-				pending = append(pending, p.loadOpFor(t, q.Filter.Field, pc), cpu.Compute(2))
+				pending.Push(p.loadOpFor(t, q.Filter.Field, pc), cpu.Compute(2))
 			}
 			if pass {
 				res.Rows++
@@ -271,19 +271,17 @@ func (p *Plan) Stream(res *Result) cpu.Stream {
 					}
 					if a.Kind != Count {
 						if q.Filter == nil || a.Field != q.Filter.Field {
-							pending = append(pending, p.loadOpFor(t, a.Field, pc+1+uint64(i)))
+							pending.Push(p.loadOpFor(t, a.Field, pc+1+uint64(i)))
 						}
-						pending = append(pending, cpu.Compute(2))
+						pending.Push(cpu.Compute(2))
 					} else {
-						pending = append(pending, cpu.Compute(1))
+						pending.Push(cpu.Compute(1))
 					}
 				}
 			}
 			t++
 		}
-		op := pending[0]
-		pending = pending[1:]
-		return op, true
+		return pending.Pop()
 	})
 }
 

@@ -28,22 +28,3 @@ func TestFunctionalCrossCheck(t *testing.T) {
 		}
 	}
 }
-
-// TestFunctionalMatchesDetailedInstructions pins the fast-forward
-// instruction accounting to the detailed cores': both execution modes
-// must retire identical counts, or CPI extrapolated from sampled windows
-// would not apply to fast-forwarded instructions.
-func TestFunctionalMatchesDetailedInstructions(t *testing.T) {
-	p := Generate(11)
-	_, instrs, err := RunFunctional(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := uint64(0)
-	for _, op := range p.Ops {
-		want += uint64(op.Gap) + 1
-	}
-	if instrs != want {
-		t.Fatalf("functional retired %d instructions, want %d", instrs, want)
-	}
-}

@@ -11,8 +11,9 @@
 // loaded value, the final memory image, and each core's L1 presence set
 // are independent of event interleaving, so the golden model can execute
 // the ops in plain program order. (Dirty bits and the shared L2 depend
-// on multicore timing, so full cache-state comparison is single-core
-// only; see Run.)
+// on multicore timing, so the cycle-level Run compares full cache state
+// single-core only; RunFunctional executes in program order and always
+// does. See verify.)
 package stress
 
 import (

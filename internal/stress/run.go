@@ -9,7 +9,9 @@ import (
 	"gsdram/internal/flight"
 	"gsdram/internal/gsdram"
 	"gsdram/internal/machine"
+	"gsdram/internal/memctrl"
 	"gsdram/internal/memsys"
+	"gsdram/internal/refmodel"
 	"gsdram/internal/sim"
 )
 
@@ -124,215 +126,211 @@ func cacheGeoms(lineBytes int) (l1, l2 cache.Config) {
 	return l1, l2
 }
 
+// A run is one differential run of a program: the simulator side (the
+// machine that moves the data and the memory system that caches and times
+// it), the golden model, and the records the simulator side fills.
+type run struct {
+	p     Program
+	mach  *machine.Machine
+	q     *sim.EventQueue
+	mem   *memsys.System
+	model *refmodel.Model
+	bases []addrmap.Addr // each region's base, the same on both sides
+	res   *Result
+	buf   []uint64 // exec's reusable line buffer
+}
+
+// newRun builds both sides of a differential run and populates them
+// identically: every region allocated at the same base and every word
+// seeded. log, when non-nil, is the memory system's event log.
+func newRun(p Program, log *flight.Recorder) (*run, error) {
+	if p.Cores <= 0 || len(p.Ops) == 0 && len(p.Regions) == 0 {
+		return nil, fmt.Errorf("stress: empty program")
+	}
+	mach, err := machine.New(p.Spec, p.GS)
+	if err != nil {
+		return nil, err
+	}
+	l1cfg, l2cfg := cacheGeoms(p.Spec.LineBytes)
+	model, err := refmodel.New(refmodel.Config{
+		Spec:  p.Spec,
+		GS:    p.GS,
+		Cores: p.Cores,
+		L1:    refmodel.CacheGeom{SizeBytes: l1cfg.SizeBytes, Ways: l1cfg.Ways, LineBytes: l1cfg.LineBytes},
+		L2:    refmodel.CacheGeom{SizeBytes: l2cfg.SizeBytes, Ways: l2cfg.Ways, LineBytes: l2cfg.LineBytes},
+	})
+	if err != nil {
+		return nil, err
+	}
+	bases := make([]addrmap.Addr, len(p.Regions))
+	for i, reg := range p.Regions {
+		size := reg.Pages * refmodel.PageSize
+		var base addrmap.Addr
+		if reg.Alt != 0 {
+			base, err = mach.AS.PattMalloc(size, reg.Alt)
+		} else {
+			base, err = mach.AS.Malloc(size)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("stress: region %d: %w", i, err)
+		}
+		bases[i] = base
+		if err := model.SetRegion(base, size, refmodel.Page{Shuffled: reg.Alt != 0, Alt: reg.Alt}); err != nil {
+			return nil, err
+		}
+		for b := 0; b < size; b += 8 {
+			a := base + addrmap.Addr(b)
+			v := popValue(p.Seed, a)
+			if err := mach.WriteWord(a, v); err != nil {
+				return nil, err
+			}
+			model.InitWord(a, v)
+		}
+	}
+
+	// The cycle-level and functional runs share this hierarchy, so both
+	// exercise the same cache geometry and protocol.
+	memCfg := memctrl.DefaultConfig()
+	memCfg.Spec = p.Spec
+	q := &sim.EventQueue{}
+	mem, err := memsys.New(memsys.Config{
+		Cores:          p.Cores,
+		L1:             l1cfg,
+		L2:             l2cfg,
+		L1Latency:      3,
+		L2Latency:      18,
+		Mem:            memCfg,
+		GS:             p.GS,
+		ShuffleLatency: 3,
+		Log:            log,
+	}, q)
+	if err != nil {
+		return nil, err
+	}
+	return &run{
+		p: p, mach: mach, q: q, mem: mem, model: model, bases: bases,
+		res: &Result{Records: make([]Record, len(p.Ops))},
+		buf: make([]uint64, p.GS.Chips),
+	}, nil
+}
+
+// exec performs the simulator side of op gi: it moves the op's data
+// through the machine (functionally, at issue), fills the op's Record
+// with what a load observed, plants inj's fault in that Record, and
+// returns the core op that carries the access (with its page's §4.1
+// flags) through the memory system. An error names the op.
+func (r *run) exec(gi int, inj Inject) (cpu.Op, error) {
+	op := r.p.Ops[gi]
+	addr := r.bases[op.Region] + addrmap.Addr(op.Off)
+	patt := r.p.Pattern(op)
+	rec := &r.res.Records[gi]
+	rec.Addr, rec.Patt = addr, patt
+	mop := cpu.Op{Kind: cpu.OpLoad, Addr: addr, Pattern: patt, PC: uint64(gi)}
+	var err error
+	switch op.Kind {
+	case OpLoad:
+		var v uint64
+		if v, err = r.mach.ReadWord(addr); err == nil {
+			rec.Vals = []uint64{v}
+		}
+	case OpStore:
+		mop.Kind = cpu.OpStore
+		err = r.mach.WriteWord(addr, op.Val)
+	case OpPattLoad:
+		var idx []int
+		if idx, err = r.mach.ReadLineIndices(addr, patt, r.buf); err == nil {
+			rec.Vals = append([]uint64(nil), r.buf...)
+			rec.Idx = append([]int(nil), idx...)
+			if inj == InjectShuffleSwap {
+				if loc, err := r.p.Spec.Decompose(addr); err == nil && loc.Col%2 == 1 {
+					rec.Vals[0], rec.Vals[1] = rec.Vals[1], rec.Vals[0]
+				}
+			}
+		}
+	case OpPattStore:
+		mop.Kind = cpu.OpStore
+		err = r.mach.WriteLine(addr, patt, lineVals(r.p.GS.Chips, op.Val))
+	case OpGatherV:
+		mop = cpu.Op{Kind: cpu.OpGatherV, Addrs: idxAddrs(addr, op.Idx), PC: uint64(gi)}
+		dst := make([]uint64, len(mop.Addrs))
+		if err = r.mach.GatherV(mop.Addrs, dst); err == nil {
+			rec.Vals = dst
+			if inj == InjectIndexPerm && len(dst) >= 2 {
+				dst[0], dst[1] = dst[1], dst[0]
+			}
+		}
+	case OpScatterV:
+		mop = cpu.Op{Kind: cpu.OpScatterV, Addrs: idxAddrs(addr, op.Idx), PC: uint64(gi)}
+		err = r.mach.ScatterV(mop.Addrs, scatterVals(len(mop.Addrs), op.Val))
+	}
+	if err != nil {
+		return cpu.Op{}, fmt.Errorf("op %d (%s %#x): %w", gi, op.Kind, uint64(addr), err)
+	}
+	fl := r.mach.AS.Flags(addr)
+	mop.Shuffled, mop.AltPattern = fl.Shuffled, fl.AltPattern
+	return mop, nil
+}
+
 // Run executes a program on the cycle simulator and the golden model and
 // diff-checks them. A non-nil Result.Div reports the first divergence;
 // err reports a malformed program (not a divergence).
 func Run(p Program, opts Options) (*Result, error) {
-	if p.Cores <= 0 || len(p.Ops) == 0 && len(p.Regions) == 0 {
-		return nil, fmt.Errorf("stress: empty program")
-	}
-
-	// --- build and populate both sides ---------------------------------
-	mach, model, bases, err := setupPair(p)
+	r, err := newRun(p, opts.Flight)
 	if err != nil {
 		return nil, err
 	}
-
-	// --- simulator run --------------------------------------------------
-	q := &sim.EventQueue{}
-	mcfg := memsysConfig(p)
-	mcfg.Log = opts.Flight
-	mem, err := memsys.New(mcfg, q)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{Records: make([]Record, len(p.Ops))}
-	var execErr error
-	errOp := -1
-
 	perCore := make([][]int, p.Cores)
 	for i, op := range p.Ops {
 		perCore[op.Core] = append(perCore[op.Core], i)
 	}
 	cores := make([]*cpu.Core, p.Cores)
-	for c := 0; c < p.Cores; c++ {
-		cores[c] = cpu.New(c, q, mem, p.stream(perCore[c], bases, mach, res, &execErr, &errOp, opts), nil)
+	for c := range cores {
+		cores[c] = cpu.New(c, r.q, r.mem, r.stream(perCore[c], opts.Inject), nil)
 		cores[c].SetNoInline(opts.NoInline)
 		cores[c].Start(0)
 	}
-	q.Run()
-
-	if execErr != nil {
-		res.Div = &Divergence{Kind: "exec-error", Op: errOp, Detail: execErr.Error()}
-		return res, nil
+	r.q.Run()
+	if r.res.Div != nil { // an exec error
+		return r.res, nil
 	}
 	for c, core := range cores {
 		if !core.Stats().Finished {
-			res.Div = &Divergence{Kind: "hang", Op: -1, Detail: fmt.Sprintf("core %d did not finish", c)}
-			return res, nil
+			r.res.Div = &Divergence{Kind: "hang", Op: -1, Detail: fmt.Sprintf("core %d did not finish", c)}
+			return r.res, nil
 		}
 	}
-	simL1, simL2 := mem.SnapshotCaches()
-
-	// --- golden-model run and value diff --------------------------------
-	if div, err := replayModel(p, model, bases, res); err != nil {
+	l1, l2 := r.mem.SnapshotCaches()
+	if r.res.Div, err = r.verify(l1, l2, p.Cores == 1); err != nil {
 		return nil, err
-	} else if div != nil {
-		res.Div = div
-		return res, nil
 	}
-
-	// --- final memory diff ----------------------------------------------
-	model.FlushCaches()
-	if memDiv := diffMemory(mach, model); memDiv != nil {
-		res.Div = memDiv
-		return res, nil
-	}
-
-	// --- cache state diff -----------------------------------------------
-	refL1, refL2 := model.CacheLines()
-	for c := range simL1 {
-		if d := diffLines(fmt.Sprintf("L1[%d]", c), simL1[c], refL1[c], p.Cores == 1); d != nil {
-			res.Div = d
-			return res, nil
-		}
-	}
-	if p.Cores == 1 {
-		// The shared L2 (and dirty bits everywhere) are only deterministic
-		// without cross-core timing interleaving; see the package comment.
-		if d := diffLines("L2", simL2, refL2, true); d != nil {
-			res.Div = d
-			return res, nil
-		}
-	}
-	return res, nil
+	return r.res, nil
 }
 
-// diffLines compares two sorted resident-line snapshots. withDirty also
-// compares dirty bits (single-core runs only).
-func diffLines(name string, sim, ref []cache.Line, withDirty bool) *Divergence {
-	if len(sim) != len(ref) {
-		return &Divergence{Kind: "cache-state", Op: -1, Detail: fmt.Sprintf(
-			"%s: sim holds %d lines, model %d\nsim: %v\nmodel: %v", name, len(sim), len(ref), sim, ref)}
-	}
-	for i := range sim {
-		if sim[i].Addr != ref[i].Addr || sim[i].Pattern != ref[i].Pattern ||
-			(withDirty && sim[i].Dirty != ref[i].Dirty) {
-			return &Divergence{Kind: "cache-state", Op: -1, Detail: fmt.Sprintf(
-				"%s line %d: sim %+v, model %+v", name, i, sim[i], ref[i])}
-		}
-	}
-	return nil
-}
-
-// stream builds one core's instruction stream: for each of the core's
-// ops, an optional compute gap followed by the memory op. The functional
-// data movement happens at op fetch time (the machine is write-through
-// functionally), and loads record what they observed for the later diff.
-func (p *Program) stream(opIdx []int, bases []addrmap.Addr, mach *machine.Machine, res *Result, execErr *error, errOp *int, opts Options) cpu.Stream {
+// stream is one core's instruction stream: each of its ops in program
+// order, the op's compute gap first. exec moves an op's data when the
+// core fetches the op (or its gap), so loads record what they observed
+// for verify. The first exec error becomes res.Div, an exec-error
+// divergence, and ends every core's stream.
+func (r *run) stream(opIdx []int, inj Inject) cpu.Stream {
 	pos := 0
-	var pending *cpu.Op
-	buf := make([]uint64, p.GS.Chips)
+	var next cpu.OpQueue // the fetched op's gap, then the op
 	return cpu.FuncStream(func() (cpu.Op, bool) {
-		if pending != nil {
-			op := *pending
-			pending = nil
-			return op, true
-		}
-		if pos >= len(opIdx) || *execErr != nil {
-			return cpu.Op{}, false
-		}
-		gi := opIdx[pos]
-		pos++
-		op := p.Ops[gi]
-		addr := bases[op.Region] + addrmap.Addr(op.Off)
-		patt := p.Pattern(op)
-		rec := &res.Records[gi]
-		rec.Addr, rec.Patt = addr, patt
-
-		fail := func(err error) (cpu.Op, bool) {
-			*execErr = fmt.Errorf("op %d (%s %#x): %w", gi, op.Kind, uint64(addr), err)
-			*errOp = gi
-			return cpu.Op{}, false
-		}
-		var addrs []addrmap.Addr // an indexed op's elements, also its core op's
-		switch op.Kind {
-		case OpLoad:
-			v, err := mach.ReadWord(addr)
+		for next.Empty() {
+			if pos >= len(opIdx) || r.res.Div != nil {
+				return cpu.Op{}, false
+			}
+			gi := opIdx[pos]
+			pos++
+			mop, err := r.exec(gi, inj)
 			if err != nil {
-				return fail(err)
+				r.res.Div = &Divergence{Kind: "exec-error", Op: gi, Detail: err.Error()}
+				return cpu.Op{}, false
 			}
-			rec.Vals = []uint64{v}
-		case OpStore:
-			if err := mach.WriteWord(addr, op.Val); err != nil {
-				return fail(err)
+			if gap := r.p.Ops[gi].Gap; gap > 0 {
+				next.Push(cpu.Compute(gap))
 			}
-		case OpPattLoad:
-			idx, err := mach.ReadLineIndices(addr, patt, buf)
-			if err != nil {
-				return fail(err)
-			}
-			rec.Vals = append([]uint64(nil), buf...)
-			rec.Idx = append([]int(nil), idx...)
-			if opts.Inject == InjectShuffleSwap {
-				if loc, err := p.Spec.Decompose(addr); err == nil && loc.Col%2 == 1 {
-					rec.Vals[0], rec.Vals[1] = rec.Vals[1], rec.Vals[0]
-				}
-			}
-		case OpPattStore:
-			if err := mach.WriteLine(addr, patt, lineVals(p.GS.Chips, op.Val)); err != nil {
-				return fail(err)
-			}
-		case OpGatherV:
-			addrs = idxAddrs(addr, op.Idx)
-			dst := make([]uint64, len(addrs))
-			if err := mach.GatherV(addrs, dst); err != nil {
-				return fail(err)
-			}
-			rec.Vals = dst
-			if opts.Inject == InjectIndexPerm && len(rec.Vals) >= 2 {
-				rec.Vals[0], rec.Vals[1] = rec.Vals[1], rec.Vals[0]
-			}
-		case OpScatterV:
-			addrs = idxAddrs(addr, op.Idx)
-			if err := mach.ScatterV(addrs, scatterVals(len(addrs), op.Val)); err != nil {
-				return fail(err)
-			}
+			next.Push(mop)
 		}
-
-		fl := mach.AS.Flags(addr)
-		var mop cpu.Op
-		if op.Kind == OpGatherV || op.Kind == OpScatterV {
-			kind := cpu.OpGatherV
-			if op.Kind == OpScatterV {
-				kind = cpu.OpScatterV
-			}
-			mop = cpu.Op{
-				Kind:       kind,
-				Addrs:      addrs,
-				Shuffled:   fl.Shuffled,
-				AltPattern: fl.AltPattern,
-				PC:         uint64(gi),
-			}
-		} else {
-			kind := cpu.OpLoad
-			if op.Kind == OpStore || op.Kind == OpPattStore {
-				kind = cpu.OpStore
-			}
-			mop = cpu.Op{
-				Kind:       kind,
-				Addr:       addr,
-				Pattern:    patt,
-				Shuffled:   fl.Shuffled,
-				AltPattern: fl.AltPattern,
-				PC:         uint64(gi),
-			}
-		}
-		if op.Gap > 0 {
-			pending = &mop
-			return cpu.Compute(op.Gap), true
-		}
-		return mop, true
+		return next.Pop()
 	})
 }

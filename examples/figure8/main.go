@@ -24,6 +24,7 @@ import (
 	"gsdram/internal/imdb"
 	"gsdram/internal/machine"
 	"gsdram/internal/memsys"
+	"gsdram/internal/rig"
 	"gsdram/internal/sim"
 )
 
@@ -98,16 +99,16 @@ func runLoop(optimised bool) outcome {
 		}
 	}
 
-	q := &sim.EventQueue{}
-	mem, err := memsys.New(memsys.DefaultConfig(1), q)
+	r, err := rig.New(memsys.DefaultConfig(1), rig.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	core := cpu.New(0, q, mem, cpu.SliceStream(ops), nil)
-	core.Start(0)
-	q.Run()
+	core := cpu.New(0, r.Queue(), r.Mem(), cpu.SliceStream(ops), nil)
+	if err := r.Run(core); err != nil {
+		log.Fatal(err)
+	}
 
-	out.lines = mem.Stats().DRAMReads
+	out.lines = r.Mem().Stats().DRAMReads
 	out.cycles = core.Stats().Runtime()
 	return out
 }

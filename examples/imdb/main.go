@@ -12,9 +12,6 @@ import (
 	"log"
 
 	"gsdram"
-	"gsdram/internal/imdb"
-	"gsdram/internal/machine"
-	"gsdram/internal/query"
 )
 
 func main() {
@@ -49,48 +46,4 @@ func main() {
 
 	fmt.Println("GS-DRAM provides the row store's transactions and the column store's analytics")
 	fmt.Println("from one physical layout — the paper's \"best of both\" result.")
-	fmt.Println()
-	queryDemo(*tuples)
-}
-
-// queryDemo runs real SQL-ish queries through the layout-aware engine on
-// a GS-DRAM table.
-func queryDemo(tuples int) {
-	mach, err := machine.Default()
-	if err != nil {
-		log.Fatal(err)
-	}
-	db, err := imdb.New(mach, imdb.GSStore, tuples)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng := query.NewEngine(db)
-
-	q := query.Query{
-		Aggregates: []query.Agg{{Kind: query.Sum, Field: 1}, {Kind: query.Count}},
-		Filter:     &query.Filter{Field: 0, Op: query.Gt, Value: uint64(tuples) * 5},
-	}
-	plan, err := eng.Plan(q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := plan.Execute()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%v\n  -> SUM = %d, COUNT = %d over %d matching rows (gathered scan, pattern 7)\n",
-		q, res.Values[0], res.Values[1], res.Rows)
-
-	vals, _, err := eng.Lookup(3, []int{0, 1, 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("SELECT f0,f1,f2 FROM t WHERE id=3 -> %v (single tuple line, pattern 0)\n", vals)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -19,6 +19,7 @@ import (
 	"gsdram/internal/machine"
 	"gsdram/internal/memctrl"
 	"gsdram/internal/memsys"
+	"gsdram/internal/rig"
 	"gsdram/internal/runner"
 	"gsdram/internal/sample"
 	"gsdram/internal/sim"
@@ -174,43 +175,24 @@ func templateDB(layout imdb.Layout, tuples int) (*imdb.DB, error) {
 	return tpl.Clone(), nil
 }
 
-// rig is one simulated system: an event queue, the memory system on it,
-// the rig's telemetry capture state (nil when untelemetered) and the
-// batch's fast-path switch. Every runner builds its rigs with newRig and
-// drives them with run (or htap), so the batch's knobs reach every core
-// and memory system through this one path. Every run gets its own rig,
-// so experiments are independent.
-type rig struct {
-	q        *sim.EventQueue
-	mem      *memsys.System
-	tel      *rigTelemetry
-	noInline bool
-}
-
 // newRig builds a rig whose memory system is cfg with the batch's
 // overrides (Options.L2Latency) applied. A non-empty label names the run
 // for telemetry capture (e.g. "fig9/GS-DRAM/50-25-25") and must be
 // unique within the batch; an empty label builds an untelemetered rig
-// even when the batch has a capture context.
-func newRig(opts Options, label string, cfg memsys.Config) (*rig, error) {
+// even when the batch has a capture context. Every run gets its own rig,
+// so experiments are independent.
+func newRig(opts Options, label string, cfg memsys.Config) (*rig.Rig, error) {
 	if opts.L2Latency > 0 {
 		cfg.L2Latency = sim.Cycle(opts.L2Latency)
 	}
-	r := &rig{q: &sim.EventQueue{}, tel: opts.Capture.forRig(label), noInline: opts.NoInline}
-	if t := r.tel; t != nil {
-		cfg.Metrics, cfg.Log = t.reg, t.log
-	}
-	mem, err := memsys.New(cfg, r.q)
-	if err != nil {
-		return nil, err
-	}
-	r.mem = mem
-	return r, nil
+	ro := opts.Capture.forRig(label)
+	ro.NoInline = opts.NoInline
+	return rig.New(cfg, ro)
 }
 
 // imdbRig clones the populated (layout, opts.Tuples) table and builds a
 // rig for it (see newRig).
-func imdbRig(opts Options, layout imdb.Layout, label string, cfg memsys.Config) (*imdb.DB, *rig, error) {
+func imdbRig(opts Options, layout imdb.Layout, label string, cfg memsys.Config) (*imdb.DB, *rig.Rig, error) {
 	db, err := templateDB(layout, opts.Tuples)
 	if err != nil {
 		return nil, nil, err
@@ -219,27 +201,26 @@ func imdbRig(opts Options, layout imdb.Layout, label string, cfg memsys.Config) 
 	return db, r, err
 }
 
-// run starts one core per stream (core i runs streams[i]) with an
+// run starts one core per stream on r (core i runs streams[i]) with an
 // sbCap-entry store buffer (0 = blocking stores), runs the rig to
 // completion and measures it.
-func (r *rig) run(sbCap int, streams ...cpu.Stream) RunMetrics {
+func run(r *rig.Rig, sbCap int, streams ...cpu.Stream) RunMetrics {
 	cores := make([]*cpu.Core, len(streams))
 	for i, s := range streams {
-		cores[i] = cpu.NewWithStoreBuffer(i, r.q, r.mem, s, nil, sbCap)
+		cores[i] = cpu.NewWithStoreBuffer(i, r.Queue(), r.Mem(), s, nil, sbCap)
 	}
-	r.exec(cores)
-	m := RunMetrics{Mem: r.mem.Stats(), Ctrl: r.mem.MemStats()}
+	if err := r.Run(cores...); err != nil {
+		panic("bench: " + err.Error())
+	}
+	m := RunMetrics{Mem: r.Mem().Stats(), Ctrl: r.Mem().MemStats()}
 	for _, c := range cores {
 		st := c.Stats()
-		if !st.Finished {
-			panic("bench: core did not finish")
-		}
 		m.CoreStats = append(m.CoreStats, st)
 		if rt := uint64(st.FinishCycle); rt > m.Cycles {
 			m.Cycles = rt
 		}
 	}
-	m.Energy = energy.Estimate(r.activity(cores, sim.Cycle(m.Cycles)), energy.DefaultDRAM(), energy.DefaultCPU())
+	m.Energy = energy.Estimate(r.Activity(sim.Cycle(m.Cycles)), energy.DefaultDRAM(), energy.DefaultCPU())
 	return m
 }
 
@@ -247,7 +228,7 @@ func (r *rig) run(sbCap int, streams ...cpu.Stream) RunMetrics {
 // analytics scan on core 0 and an unbounded 1-read/1-write transaction
 // stream on core 1, which stops when the scan completes. It returns the
 // scan's completion cycle and the transaction throughput (txns/s).
-func (r *rig) htap(db *imdb.DB, seed uint64) (sim.Cycle, float64, error) {
+func htap(r *rig.Rig, db *imdb.DB, seed uint64) (sim.Cycle, float64, error) {
 	as, err := db.AnalyticsStream([]int{0}, nil)
 	if err != nil {
 		return 0, 0, err
@@ -257,46 +238,16 @@ func (r *rig) htap(db *imdb.DB, seed uint64) (sim.Cycle, float64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	txn := cpu.New(1, r.q, r.mem, ts, nil)
+	txn := cpu.New(1, r.Queue(), r.Mem(), ts, nil)
 	var done sim.Cycle
-	ana := cpu.New(0, r.q, r.mem, as, func(now sim.Cycle) {
+	ana := cpu.New(0, r.Queue(), r.Mem(), as, func(now sim.Cycle) {
 		done = now
 		txn.Stop()
 	})
-	r.exec([]*cpu.Core{ana, txn})
+	if err := r.Run(ana, txn); err != nil {
+		return 0, 0, err
+	}
 	return done, float64(tr.Completed) / (float64(done) / 4e9), nil
-}
-
-// exec starts the cores (cores[i] must have core ID i) in ID order at
-// cycle 0, runs the queue dry and hands the finished run to the rig's
-// telemetry.
-func (r *rig) exec(cores []*cpu.Core) {
-	for _, c := range cores {
-		c.SetNoInline(r.noInline)
-		c.Start(0)
-	}
-	r.tel.start(r, cores)
-	r.q.Run()
-	r.tel.finish(r, cores)
-}
-
-// activity is the energy model's input for the rig's cores over the
-// given runtime.
-func (r *rig) activity(cores []*cpu.Core, runtime sim.Cycle) energy.Activity {
-	var instrs uint64
-	for _, c := range cores {
-		instrs += c.Stats().Instructions
-	}
-	l1, l2 := r.mem.CacheStats()
-	return energy.Activity{
-		Runtime:      runtime,
-		FreqGHz:      4,
-		Cores:        len(cores),
-		Instructions: instrs,
-		L1:           l1,
-		L2:           l2,
-		Mem:          r.mem.MemStats(),
-	}
 }
 
 // layouts is the fixed comparison order used by every IMDB figure.

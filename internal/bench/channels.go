@@ -67,7 +67,7 @@ func RunChannels(opts Options) (*ChannelsResult, error) {
 		if err != nil {
 			return err
 		}
-		m := r.run(0, sA, sB)
+		m := run(r, 0, sA, sB)
 		checkSums(&arA, opts.Tuples, []int{0})
 		checkSums(&arB, opts.Tuples, []int{0})
 		res.Cycles[i] = m.Cycles

@@ -64,7 +64,7 @@ func RunGraph(vertices, avgDeg int, opts Options) (*GraphResult, error) {
 		if err != nil {
 			return err
 		}
-		m := r.run(0, s)
+		m := run(r, 0, s)
 		if kernel == 0 {
 			if pr.RankSum != want {
 				return fmt.Errorf("bench: %v PageRank sum %d, want %d", layout, pr.RankSum, want)

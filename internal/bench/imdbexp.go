@@ -52,7 +52,7 @@ func RunFig9(opts Options) (*Fig9Result, error) {
 				return fmt.Errorf("bench: %v/%v sampled: %w", layout, mix, err)
 			}
 		} else {
-			m = r.run(0, s)
+			m = run(r, 0, s)
 		}
 		if tr.Completed != uint64(opts.Txns) {
 			return fmt.Errorf("bench: %v/%v completed %d txns, want %d", layout, mix, tr.Completed, opts.Txns)
@@ -206,7 +206,7 @@ func RunFig10(opts Options) (*Fig10Result, error) {
 				return fmt.Errorf("bench: fig10 %v sampled: %w", layout, err)
 			}
 		} else {
-			m = r.run(0, s)
+			m = run(r, 0, s)
 		}
 		checkSums(&ar, opts.Tuples, columns)
 		runs[j] = m
@@ -323,7 +323,7 @@ func RunFig11(opts Options) (*Fig11Result, error) {
 		if err != nil {
 			return err
 		}
-		done, throughput, err := r.htap(db, opts.Seed)
+		done, throughput, err := htap(r, db, opts.Seed)
 		if err != nil {
 			return err
 		}

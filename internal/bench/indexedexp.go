@@ -93,7 +93,7 @@ func runIndexedRig(res *IndexedResult, i int, opts Options, s cpu.Stream) error 
 	if err != nil {
 		return err
 	}
-	m := r.run(0, s)
+	m := run(r, 0, s)
 	res.Cycles[i] = m.Cycles
 	res.DRAMReads[i] = m.Ctrl.ReadsServed
 	res.Bursts[i] = m.Mem.GathervBursts

@@ -156,7 +156,7 @@ func RunKVStore(pairs int, opts Options) (*KVResult, error) {
 		if err != nil {
 			return err
 		}
-		m := r.run(0, cpu.SliceStream(scan))
+		m := run(r, 0, cpu.SliceStream(scan))
 		res.ScanLines[idx] = m.Mem.DRAMReads
 		res.LookupCycle[idx] = m.Cycles
 		return nil
@@ -217,12 +217,12 @@ func RunAutoGather(opts Options) (*AutoGatherResult, error) {
 		if err != nil {
 			return err
 		}
-		m := r.run(0, s)
+		m := run(r, 0, s)
 		checkSums(&ar, opts.Tuples, []int{0})
 		res.Cycles[i] = m.Cycles
 		res.LineReads[i] = m.Mem.DRAMReads
 		if md.auto {
-			res.Promoted = r.mem.AutoPattStats().Promoted
+			res.Promoted = r.Mem().AutoPattStats().Promoted
 		}
 		return nil
 	})
@@ -294,13 +294,13 @@ func RunSchedulerAblation(opts Options) (*SchedulerAblationResult, error) {
 		case 1:
 			s, err = db.TransactionStream(imdb.TxnMix{RO: 2, WO: 1, RW: 1}, opts.Txns, opts.Seed, nil)
 		case 2:
-			_, res.HTAPThroughput[pi], err = r.htap(db, opts.Seed)
+			_, res.HTAPThroughput[pi], err = htap(r, db, opts.Seed)
 			return err
 		}
 		if err != nil {
 			return err
 		}
-		res.Cycles[pi][sub] = r.run(0, s).Cycles
+		res.Cycles[pi][sub] = run(r, 0, s).Cycles
 		return nil
 	})
 	if err != nil {

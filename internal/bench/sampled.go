@@ -2,6 +2,7 @@ package bench
 
 import (
 	"gsdram/internal/cpu"
+	"gsdram/internal/rig"
 	"gsdram/internal/sample"
 	"gsdram/internal/sim"
 )
@@ -23,7 +24,7 @@ func sampleConfigFor(base sample.Config, j int) sample.Config {
 }
 
 // runSampled executes one stream under interval sampling on a fresh rig
-// and synthesizes RunMetrics comparable to rig.run: extrapolated
+// and synthesizes RunMetrics comparable to run: extrapolated
 // cycles and energy from the estimate, memory-side counters from the
 // detailed windows (functional fast-forward touches no counters).
 // Sampled rigs are untelemetered, and the sampler drives its own cores,
@@ -34,11 +35,11 @@ func sampleConfigFor(base sample.Config, j int) sample.Config {
 // identical, so the scattered physical-layout writes — and the
 // copy-on-write DRAM row copies they would trigger on the cloned
 // template — are pure overhead for a sampled run.
-func runSampled(sc sample.Config, r *rig, s cpu.Stream) (RunMetrics, *sample.Result, error) {
+func runSampled(sc sample.Config, r *rig.Rig, s cpu.Stream) (RunMetrics, *sample.Result, error) {
 	if sh, ok := s.(interface{ EnableShadow() }); ok {
 		sh.EnableShadow()
 	}
-	est, err := sample.Run(sc, sample.Target{Q: r.q, Mem: r.mem, Stream: s})
+	est, err := sample.Run(sc, sample.Target{Q: r.Queue(), Mem: r.Mem(), Stream: s})
 	if err != nil {
 		return RunMetrics{}, nil, err
 	}
@@ -49,8 +50,8 @@ func runSampled(sc sample.Config, r *rig, s cpu.Stream) (RunMetrics, *sample.Res
 			FinishCycle:  sim.Cycle(est.Cycles),
 			Finished:     true,
 		}},
-		Mem:    r.mem.Stats(),
-		Ctrl:   r.mem.MemStats(),
+		Mem:    r.Mem().Stats(),
+		Ctrl:   r.Mem().MemStats(),
 		Energy: est.Energy,
 	}
 	return m, est, nil

@@ -41,7 +41,7 @@ func RunImpulse(opts Options) (*ImpulseResult, error) {
 		if err != nil {
 			return err
 		}
-		m := r.run(0, s)
+		m := run(r, 0, s)
 		checkSums(&ar, opts.Tuples, []int{0})
 		res.Cycles[i] = m.Cycles
 		res.LineReads[i] = m.Ctrl.ReadsServed
@@ -107,7 +107,7 @@ func RunPatternSweep(opts Options) (*PatternSweepResult, error) {
 				return fmt.Errorf("bench: pattern sweep p=%d sampled: %w", p, err)
 			}
 		} else {
-			m = r.run(0, s)
+			m = run(r, 0, s)
 		}
 		checkSums(&ar, opts.Tuples, []int{0})
 		res.Cycles[p] = m.Cycles
@@ -171,7 +171,7 @@ func RunStoreBuffer(opts Options) (*StoreBufferResult, error) {
 		if err != nil {
 			return err
 		}
-		runs[j] = r.run(sbCap, s).Cycles
+		runs[j] = run(r, sbCap, s).Cycles
 		return nil
 	})
 	if err != nil {
@@ -244,7 +244,7 @@ func RunPixels(n, shades int, opts Options) (*PixelsResult, error) {
 		if err != nil {
 			return err
 		}
-		m := r.run(0, hist)
+		m := run(r, 0, hist)
 		res.HistCycles[i] = m.Cycles
 		res.HistLines[i] = m.Ctrl.ReadsServed
 
@@ -259,7 +259,7 @@ func RunPixels(n, shades int, opts Options) (*PixelsResult, error) {
 		if r, err = newRig(opts, "", memsys.DefaultConfig(1)); err != nil {
 			return err
 		}
-		res.ShadeCycles[i] = r.run(0, shade).Cycles
+		res.ShadeCycles[i] = run(r, 0, shade).Cycles
 		return nil
 	})
 	if err != nil {

@@ -1,14 +1,11 @@
 package bench
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
-	"gsdram/internal/cpu"
-	"gsdram/internal/energy"
 	"gsdram/internal/flight"
-	"gsdram/internal/metrics"
+	"gsdram/internal/rig"
 	"gsdram/internal/sim"
 	"gsdram/internal/telemetry"
 )
@@ -86,73 +83,19 @@ func (c *Capture) add(run *telemetry.Run) {
 	c.mu.Unlock()
 }
 
-// rigTelemetry is one rig's capture state, held by the rig itself.
-type rigTelemetry struct {
-	owner   *Capture
-	label   string
-	reg     *metrics.Registry
-	log     *flight.Recorder
-	sampler *telemetry.Sampler
-}
-
-// forRig creates capture state for a labelled rig: the registry and
-// event log to build its memory system with. Returns nil — an
-// untelemetered rig — when the batch has no capture context or the run
-// has no label; every method of a nil *rigTelemetry is a no-op, so rigs
-// call them unconditionally.
-func (c *Capture) forRig(label string) *rigTelemetry {
+// forRig returns the rig options that record a labelled run into the
+// capture: an event log and the telemetry request whose finished run
+// the capture collects. It returns the zero Options — an untelemetered
+// rig — when the batch has no capture context or the run has no label.
+func (c *Capture) forRig(label string) rig.Options {
 	if c == nil || label == "" {
-		return nil
+		return rig.Options{}
 	}
-	rt := &rigTelemetry{
-		owner: c,
-		label: label,
-		reg:   metrics.New(),
-		log:   flight.New(maxTraceCommands, maxTracePhases, maxLatencyTraces, c.flightDepth),
-	}
+	log := flight.New(maxTraceCommands, maxTracePhases, maxLatencyTraces, c.flightDepth)
 	if c.flightDepth > 0 {
 		c.mu.Lock()
-		c.flights = append(c.flights, flight.LabeledRecorder{Label: label, Rec: rt.log})
+		c.flights = append(c.flights, flight.LabeledRecorder{Label: label, Rec: log})
 		c.mu.Unlock()
 	}
-	return rt
-}
-
-// start completes registration — per-core counters (cores[i] must have
-// core ID i), the live energy gauges — and starts the epoch sampler.
-// Call after the cores are started, before the queue runs.
-func (rt *rigTelemetry) start(r *rig, cores []*cpu.Core) {
-	if rt == nil {
-		return
-	}
-	for i, c := range cores {
-		c.RegisterMetrics(rt.reg, fmt.Sprintf("core.%d", i))
-	}
-	energy.RegisterLive(rt.reg, func() energy.Activity {
-		return r.activity(cores, r.q.Now())
-	}, energy.DefaultDRAM(), energy.DefaultCPU())
-	rt.sampler = telemetry.NewSampler(r.q, rt.reg, rt.owner.epoch)
-	rt.sampler.Start()
-}
-
-// finish records the final epoch row, assembles the telemetry.Run, and
-// adds it to the owning capture. Call after the queue has run dry.
-func (rt *rigTelemetry) finish(r *rig, cores []*cpu.Core) {
-	if rt == nil {
-		return
-	}
-	rt.sampler.Finish(r.q.Now())
-	run := &telemetry.Run{
-		Label:    rt.label,
-		Registry: rt.reg,
-		Series:   rt.sampler.Series(),
-		Latency:  r.mem.LatencyRecorder(),
-		Log:      rt.log,
-		End:      r.q.Now(),
-	}
-	for i, c := range cores {
-		st := c.Stats()
-		run.Cores = append(run.Cores, telemetry.CoreSpan{Core: i, Start: st.StartCycle, Finish: st.FinishCycle})
-	}
-	rt.owner.add(run)
+	return rig.Options{Log: log, Telemetry: &rig.Telemetry{Label: label, Epoch: c.epoch, Done: c.add}}
 }

@@ -110,6 +110,45 @@ func TestColdThenWarmSweep(t *testing.T) {
 	}
 }
 
+// TestCorruptCachedDocumentReexecutes: a cached document whose bytes
+// no longer match their checksum is a miss, so resubmitting its point
+// runs it again instead of serving the corrupt bytes.
+func TestCorruptCachedDocumentReexecutes(t *testing.T) {
+	var calls atomic.Int64
+	e := newEngine(t, Options{Workers: 1, Runner: fakeRunner(&calls)})
+	p := point(1)
+	j1, err := e.Submit([]spec.Spec{p})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	wait(t, j1)
+	hash := j1.Points()[0].Hash
+	path := filepath.Join(e.Cache().Dir(), hash[:2], hash+".json")
+	stored, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, stored[:len(stored)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := e.Submit([]spec.Spec{p})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	wait(t, j2)
+	if tot := j2.Totals(); tot.Executed != 1 || tot.Cached != 0 || tot.Failed != 0 {
+		t.Fatalf("totals after corruption = %+v; want 1 executed, 0 cached", tot)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("ran %d simulations; want 2", calls.Load())
+	}
+	doc, ok, err := e.Cache().Get(hash)
+	if err != nil || !ok || string(doc) != fmt.Sprintf("{\"doc\":%q}\n", hash) {
+		t.Fatalf("re-executed document = %q ok=%v err=%v", doc, ok, err)
+	}
+}
+
 // TestDeltaSweep: resubmitting a sweep with one changed point
 // re-executes only that point.
 func TestDeltaSweep(t *testing.T) {

@@ -5,15 +5,20 @@
 // run with a file read, which is what makes resubmitted sweeps cost
 // only hash lookups.
 //
-// Layout: <dir>/<key[:2]>/<key>.json, one document per key. Writes are
-// atomic (unique temp file + rename into place), so concurrent writers
-// — worker goroutines in one process or multiple gsbench servers
-// sharing the directory — can never expose a torn document; racing
-// writers of the same key write identical bytes (determinism again), so
-// last-rename-wins is harmless.
+// Layout: <dir>/<key[:2]>/<key>.json, one document per key. Each file
+// holds the document's lowercase hex SHA-256, a newline, then the
+// document. Get checks the sum, so a truncated or altered file is a
+// miss, never a hit: it is renamed to <key>.json.corrupt and the point
+// runs again. Writes are atomic (unique temp file + rename into place),
+// so concurrent writers — worker goroutines in one process or multiple
+// gsbench servers sharing the directory — can never expose a torn
+// document; racing writers of the same key write identical bytes
+// (determinism again), so last-rename-wins is harmless.
 package resultcache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -73,13 +78,19 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key+".json")
 }
 
+// sumLen is the length of a stored file's checksum line.
+const sumLen = 2*sha256.Size + 1
+
 // Get returns the document stored under key. A missing key is
-// (nil, false, nil); errors are real I/O failures.
+// (nil, false, nil), and so is a file whose checksum does not match its
+// document; that file is quarantined as <key>.json.corrupt. Errors are
+// real I/O failures.
 func (c *Cache) Get(key string) ([]byte, bool, error) {
 	if err := checkKey(key); err != nil {
 		return nil, false, err
 	}
-	b, err := os.ReadFile(c.path(key))
+	path := c.path(key)
+	b, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		c.misses.Add(1)
 		return nil, false, nil
@@ -87,8 +98,21 @@ func (c *Cache) Get(key string) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("resultcache: %w", err)
 	}
+	if len(b) < sumLen || b[sumLen-1] != '\n' || checksum(b[sumLen:]) != string(b[:sumLen-1]) {
+		// Best effort: a concurrent Get may have moved it already, and a
+		// file left in place is overwritten by the point's next Put.
+		_ = os.Rename(path, path+".corrupt")
+		c.misses.Add(1)
+		return nil, false, nil
+	}
 	c.hits.Add(1)
-	return b, true, nil
+	return b[sumLen:], true, nil
+}
+
+// checksum is the lowercase hex SHA-256 of doc.
+func checksum(doc []byte) string {
+	sum := sha256.Sum256(doc)
+	return hex.EncodeToString(sum[:])
 }
 
 // Contains reports whether key is stored, without counting a hit or
@@ -101,10 +125,10 @@ func (c *Cache) Contains(key string) bool {
 	return err == nil
 }
 
-// Put stores doc under key atomically: the document is written to a
-// unique temp file in the cache root and renamed into place, so readers
-// and concurrent writers (including other processes) never observe a
-// partial document.
+// Put stores doc and its checksum under key atomically: the file is
+// written to a unique temp file in the cache root and renamed into
+// place, so readers and concurrent writers (including other processes)
+// never observe a partial document.
 func (c *Cache) Put(key string, doc []byte) error {
 	if err := checkKey(key); err != nil {
 		return err
@@ -118,7 +142,11 @@ func (c *Cache) Put(key string, doc []byte) error {
 		return fmt.Errorf("resultcache: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(doc); err != nil {
+	_, err = tmp.WriteString(checksum(doc) + "\n")
+	if err == nil {
+		_, err = tmp.Write(doc)
+	}
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("resultcache: %w", err)
 	}

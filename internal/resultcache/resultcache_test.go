@@ -198,3 +198,56 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 		t.Fatalf("Open accepted an empty directory")
 	}
 }
+
+// TestCorruptDocumentIsQuarantinedMiss: a stored file with one byte
+// flipped, or cut short, is a miss, not a hit, and is moved aside as
+// <key>.json.corrupt with its bytes intact; the next Put stores afresh.
+func TestCorruptDocumentIsQuarantinedMiss(t *testing.T) {
+	doc := []byte(`{"experiments":[{"experiment":"fig9"}]}` + "\n")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(b []byte) []byte
+	}{
+		{"flipped byte", func(b []byte) []byte { b[len(b)-4] ^= 0x01; return b }},
+		{"truncated", func(b []byte) []byte { return b[:sumLen+len(`{"experim`)] }},
+		{"checksum only", func(b []byte) []byte { return b[:sumLen] }},
+		{"no checksum", func(b []byte) []byte { return b[sumLen:] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := open(t)
+			if err := c.Put(key, doc); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			path := filepath.Join(c.Dir(), key[:2], key+".json")
+			stored, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := tc.corrupt(stored)
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok, err := c.Get(key); err != nil || ok || got != nil {
+				t.Fatalf("Get of a corrupt file = %q ok=%v err=%v; want a miss", got, ok, err)
+			}
+			if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
+				t.Fatalf("stats = %+v; want 0 hits, 1 miss", st)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("corrupt file still at %s (err %v)", path, err)
+			}
+			if q, err := os.ReadFile(path + ".corrupt"); err != nil || !bytes.Equal(q, bad) {
+				t.Fatalf("quarantined file = %q, %v; want the corrupt bytes", q, err)
+			}
+			if n, err := c.Len(); err != nil || n != 0 {
+				t.Fatalf("Len = %d, %v; the quarantined file must not count", n, err)
+			}
+			if err := c.Put(key, doc); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			if got, ok, err := c.Get(key); err != nil || !ok || !bytes.Equal(got, doc) {
+				t.Fatalf("Get after re-Put = %q ok=%v err=%v", got, ok, err)
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package stress
 import (
 	"gsdram/internal/cpu"
 	"gsdram/internal/fastsim"
+	"gsdram/internal/rig"
 )
 
 // RunFunctional executes a program through the functional fast-forward
@@ -21,7 +22,7 @@ func RunFunctional(p Program) (*Result, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	l1, l2 := r.mem.SnapshotCaches()
+	l1, l2 := r.sys.Mem().SnapshotCaches()
 	if r.res.Div, err = r.verify(l1, l2, true); err != nil {
 		return nil, 0, err
 	}
@@ -31,11 +32,11 @@ func RunFunctional(p Program) (*Result, uint64, error) {
 // runFunctional executes p on the functional path and returns the
 // finished, not yet verified run with its retired-instruction count.
 func runFunctional(p Program) (*run, uint64, error) {
-	r, err := newRun(p, nil)
+	r, err := newRun(p, rig.Options{})
 	if err != nil {
 		return nil, 0, err
 	}
-	f := fastsim.NewFunctional(r.mem)
+	f := fastsim.NewFunctional(r.sys.Mem())
 	for gi, op := range p.Ops {
 		mop, err := r.exec(gi, InjectNone)
 		if err != nil {

@@ -12,7 +12,7 @@ import (
 	"gsdram/internal/memctrl"
 	"gsdram/internal/memsys"
 	"gsdram/internal/refmodel"
-	"gsdram/internal/sim"
+	"gsdram/internal/rig"
 )
 
 // Inject selects a deterministic fault injected into the simulator side
@@ -132,8 +132,7 @@ func cacheGeoms(lineBytes int) (l1, l2 cache.Config) {
 type run struct {
 	p     Program
 	mach  *machine.Machine
-	q     *sim.EventQueue
-	mem   *memsys.System
+	sys   *rig.Rig
 	model *refmodel.Model
 	bases []addrmap.Addr // each region's base, the same on both sides
 	res   *Result
@@ -142,8 +141,8 @@ type run struct {
 
 // newRun builds both sides of a differential run and populates them
 // identically: every region allocated at the same base and every word
-// seeded. log, when non-nil, is the memory system's event log.
-func newRun(p Program, log *flight.Recorder) (*run, error) {
+// seeded. ro are the simulator side's rig options.
+func newRun(p Program, ro rig.Options) (*run, error) {
 	if p.Cores <= 0 || len(p.Ops) == 0 && len(p.Regions) == 0 {
 		return nil, fmt.Errorf("stress: empty program")
 	}
@@ -192,8 +191,7 @@ func newRun(p Program, log *flight.Recorder) (*run, error) {
 	// exercise the same cache geometry and protocol.
 	memCfg := memctrl.DefaultConfig()
 	memCfg.Spec = p.Spec
-	q := &sim.EventQueue{}
-	mem, err := memsys.New(memsys.Config{
+	sys, err := rig.New(memsys.Config{
 		Cores:          p.Cores,
 		L1:             l1cfg,
 		L2:             l2cfg,
@@ -202,13 +200,12 @@ func newRun(p Program, log *flight.Recorder) (*run, error) {
 		Mem:            memCfg,
 		GS:             p.GS,
 		ShuffleLatency: 3,
-		Log:            log,
-	}, q)
+	}, ro)
 	if err != nil {
 		return nil, err
 	}
 	return &run{
-		p: p, mach: mach, q: q, mem: mem, model: model, bases: bases,
+		p: p, mach: mach, sys: sys, model: model, bases: bases,
 		res: &Result{Records: make([]Record, len(p.Ops))},
 		buf: make([]uint64, p.GS.Chips),
 	}, nil
@@ -275,7 +272,7 @@ func (r *run) exec(gi int, inj Inject) (cpu.Op, error) {
 // diff-checks them. A non-nil Result.Div reports the first divergence;
 // err reports a malformed program (not a divergence).
 func Run(p Program, opts Options) (*Result, error) {
-	r, err := newRun(p, opts.Flight)
+	r, err := newRun(p, rig.Options{NoInline: opts.NoInline, Log: opts.Flight})
 	if err != nil {
 		return nil, err
 	}
@@ -285,21 +282,17 @@ func Run(p Program, opts Options) (*Result, error) {
 	}
 	cores := make([]*cpu.Core, p.Cores)
 	for c := range cores {
-		cores[c] = cpu.New(c, r.q, r.mem, r.stream(perCore[c], opts.Inject), nil)
-		cores[c].SetNoInline(opts.NoInline)
-		cores[c].Start(0)
+		cores[c] = cpu.New(c, r.sys.Queue(), r.sys.Mem(), r.stream(perCore[c], opts.Inject), nil)
 	}
-	r.q.Run()
+	hang := r.sys.Run(cores...)
 	if r.res.Div != nil { // an exec error
 		return r.res, nil
 	}
-	for c, core := range cores {
-		if !core.Stats().Finished {
-			r.res.Div = &Divergence{Kind: "hang", Op: -1, Detail: fmt.Sprintf("core %d did not finish", c)}
-			return r.res, nil
-		}
+	if hang != nil {
+		r.res.Div = &Divergence{Kind: "hang", Op: -1, Detail: hang.Error()}
+		return r.res, nil
 	}
-	l1, l2 := r.mem.SnapshotCaches()
+	l1, l2 := r.sys.Mem().SnapshotCaches()
 	if r.res.Div, err = r.verify(l1, l2, p.Cores == 1); err != nil {
 		return nil, err
 	}

@@ -47,7 +47,7 @@ func TestVerifyCatchesBrokenState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l1, l2 := r.mem.SnapshotCaches()
+			l1, l2 := r.sys.Mem().SnapshotCaches()
 			if len(l1[0]) == 0 || len(l2) == 0 {
 				t.Fatalf("program leaves %d lines in L1[0] and %d in the L2; the cases need one of each", len(l1[0]), len(l2))
 			}

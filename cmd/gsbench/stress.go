@@ -69,6 +69,7 @@ func stressCmd(args []string) error {
 	}
 	gcfg := stress.GenConfig{Indexed: *indexed}
 
+	// A failure is a program whose run errored (div nil) or diverged.
 	type failure struct {
 		seed uint64
 		path path
@@ -97,6 +98,7 @@ func stressCmd(args []string) error {
 		for _, pa := range paths {
 			res, err := run(p, pa)
 			if err != nil {
+				fails[i] = &failure{seed: seeds[i], path: pa}
 				return fmt.Errorf("program %d (seed %d): %w", i, seeds[i], err)
 			}
 			if res.Div != nil {
@@ -123,8 +125,11 @@ func stressCmd(args []string) error {
 		return nil
 	}
 
-	// Find the lowest-index failure (matching the pool's error) and
-	// shrink it.
+	// Report the lowest-indexed failure, which is the pool's error: every
+	// program before it ran and passed at any worker count, so it is the
+	// same on every run. How many later programs also failed before the
+	// workers stopped is not, so it is not reported. Shrink it if it
+	// diverged.
 	var f *failure
 	for _, cand := range fails {
 		if cand != nil {
@@ -132,7 +137,7 @@ func stressCmd(args []string) error {
 			break
 		}
 	}
-	if f == nil {
+	if f == nil || f.div == nil {
 		return err // a Run() error, not a divergence
 	}
 	fmt.Printf("stress: divergence on seed %d: %s\n", f.seed, f.div)
@@ -183,7 +188,7 @@ func stressCmd(args []string) error {
 			fmt.Printf("flight dump written to %s\n", flightPath)
 		}
 	}
-	return fmt.Errorf("stress: %d/%d programs diverged", countNonNil(fails), *count)
+	return fmt.Errorf("stress: %w", err)
 }
 
 // writeStressFlight re-runs a (shrunk) diverging program with the flight
@@ -216,14 +221,4 @@ func writeStressFlight(p stress.Program, opts stress.Options, path string) error
 		werr = cerr
 	}
 	return werr
-}
-
-func countNonNil[T any](s []*T) int {
-	n := 0
-	for _, v := range s {
-		if v != nil {
-			n++
-		}
-	}
-	return n
 }

@@ -264,21 +264,44 @@ func (c *Cache) evictLine(vi int, counted bool) (Line, bool) {
 // It returns the evicted line, if any. Filling a line that is already
 // present just refreshes it (merging dirtiness).
 func (c *Cache) Fill(a addrmap.Addr, p gsdram.Pattern, dirty bool) (evicted Line, hasEvict bool) {
-	c.clock++
+	return c.fill(a, p, dirty, true)
+}
+
+// FillNew is Fill for a line the caller has just observed absent — a
+// Lookup miss on (addr, pattern) with no fill of this cache since — so
+// the presence scan is skipped and victim selection starts at once.
+// Filling a line that is actually present would duplicate it; call
+// sites must guarantee absence. It is the counted twin of WarmFillNew.
+func (c *Cache) FillNew(a addrmap.Addr, p gsdram.Pattern, dirty bool) (evicted Line, hasEvict bool) {
+	return c.fillNew(a, p, dirty, true)
+}
+
+// fill is the one body of Fill and WarmFill: refresh a present line,
+// otherwise insert it as fillNew does. counted selects whether the fill
+// and its eviction advance the statistics.
+func (c *Cache) fill(a addrmap.Addr, p gsdram.Pattern, dirty, counted bool) (evicted Line, hasEvict bool) {
 	if i := c.find(a, p); i >= 0 {
+		c.clock++
 		c.stamps[i] = c.clock
 		c.dirty[i] = c.dirty[i] || dirty
 		return Line{}, false
 	}
+	return c.fillNew(a, p, dirty, counted)
+}
+
+// fillNew is the one body of FillNew and WarmFillNew: insert an absent
+// (addr, pattern) into the set's victim way.
+func (c *Cache) fillNew(a addrmap.Addr, p gsdram.Pattern, dirty, counted bool) (evicted Line, hasEvict bool) {
+	c.clock++
 	if c.tag(a) >= 1<<(64-keyTagShift) {
 		panic(fmt.Sprintf("cache %s: address %#x exceeds the packed-tag range", c.cfg.Name, uint64(a)))
 	}
 	vi := c.victim(c.setIndex(a))
-	evicted, hasEvict = c.evictLine(vi, true)
+	evicted, hasEvict = c.evictLine(vi, counted)
 	c.keys[vi] = packKey(c.tag(a), p)
 	c.stamps[vi] = c.clock
 	c.dirty[vi] = dirty
-	if p != gsdram.DefaultPattern {
+	if counted && p != gsdram.DefaultPattern {
 		c.ctr.PatternFills++
 	}
 	return evicted, hasEvict

@@ -95,7 +95,8 @@ func (r *refCache) resident(a addrmap.Addr, p gsdram.Pattern) (bool, bool) {
 
 // TestCacheMatchesReferenceModel replays a long random trace of lookups,
 // fills and invalidations on both the production cache and the reference
-// model, and checks presence and dirtiness agree after every step.
+// model, and checks presence and dirtiness agree after every step. Load
+// misses fill with Fill and store misses with FillNew.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	cfg := Config{Name: "ref", SizeBytes: 4096, Ways: 4, LineBytes: 64}
 	c, err := New(cfg)
@@ -128,7 +129,9 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				t.Fatalf("step %d: store-lookup mismatch", i)
 			}
 			if !got {
-				c.Fill(a, p, true)
+				// The lookup just missed, so the fill may skip the
+				// presence scan.
+				c.FillNew(a, p, true)
 				ref.fill(a, p, true)
 			}
 		case 2: // invalidate

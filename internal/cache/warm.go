@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"fmt"
-
 	"gsdram/internal/addrmap"
 	"gsdram/internal/gsdram"
 )
@@ -11,26 +9,13 @@ import (
 // counting the fill in the statistics — the functional fast-forward of
 // sampled simulation (DESIGN.md §5.7) warms tags without distorting the
 // counters the measured windows difference. LRU state advances normally:
-// warmed lines must age exactly like fetched ones. The warm variants are
-// direct uncounted implementations rather than counter-save/restore
-// wrappers: the fast-forward calls them once or more per instruction, so
-// copying the counter block twice per call dominated warming cost.
+// warmed lines must age exactly like fetched ones. The warm fills run
+// the counted fills' body with counting switched off rather than
+// wrapping them in a counter save/restore: the fast-forward calls them
+// once or more per instruction, so copying the counter block twice per
+// call dominated warming cost.
 func (c *Cache) WarmFill(a addrmap.Addr, p gsdram.Pattern, dirty bool) (evicted Line, hasEvict bool) {
-	c.clock++
-	if i := c.find(a, p); i >= 0 {
-		c.stamps[i] = c.clock
-		c.dirty[i] = c.dirty[i] || dirty
-		return Line{}, false
-	}
-	if c.tag(a) >= 1<<(64-keyTagShift) {
-		panic(fmt.Sprintf("cache %s: address %#x exceeds the packed-tag range", c.cfg.Name, uint64(a)))
-	}
-	vi := c.victim(c.setIndex(a))
-	evicted, hasEvict = c.evictLine(vi, false)
-	c.keys[vi] = packKey(c.tag(a), p)
-	c.stamps[vi] = c.clock
-	c.dirty[vi] = dirty
-	return evicted, hasEvict
+	return c.fill(a, p, dirty, false)
 }
 
 // WarmLookup checks for (addr, pattern) updating LRU but not the hit or
@@ -53,16 +38,7 @@ func (c *Cache) WarmLookup(a addrmap.Addr, p gsdram.Pattern, setDirty bool) bool
 // immediately. Filling a line that is actually present would duplicate
 // it; call sites must guarantee absence.
 func (c *Cache) WarmFillNew(a addrmap.Addr, p gsdram.Pattern, dirty bool) (evicted Line, hasEvict bool) {
-	c.clock++
-	if c.tag(a) >= 1<<(64-keyTagShift) {
-		panic(fmt.Sprintf("cache %s: address %#x exceeds the packed-tag range", c.cfg.Name, uint64(a)))
-	}
-	vi := c.victim(c.setIndex(a))
-	evicted, hasEvict = c.evictLine(vi, false)
-	c.keys[vi] = packKey(c.tag(a), p)
-	c.stamps[vi] = c.clock
-	c.dirty[vi] = dirty
-	return evicted, hasEvict
+	return c.fillNew(a, p, dirty, false)
 }
 
 // WarmInvalidate removes (addr, pattern) without counting the

@@ -129,6 +129,9 @@ func (m *Model) Access(addr addrmap.Addr, patt gsdram.Pattern, shuffled, write b
 		return
 	}
 	m.stats.L1Misses++
+	// Both fills below follow a lookup miss on the same level with no
+	// fill of that level in between, so they skip the presence scan
+	// (cache.FillNew); the L2 fill does not touch the L1.
 	if m.l2.Lookup(line, patt, false) {
 		m.stats.L2Hits++
 		m.stats.Cycles += m.cfg.L2Latency
@@ -140,15 +143,18 @@ func (m *Model) Access(addr addrmap.Addr, patt gsdram.Pattern, shuffled, write b
 	if shuffled {
 		m.stats.Cycles += m.cfg.ShuffleLatency
 	}
-	if ev, has := m.l2.Fill(line, patt, false); has && ev.Dirty {
+	if ev, has := m.l2.FillNew(line, patt, false); has && ev.Dirty {
 		// Dirty writeback: posted, no stall, but it occupies the bank.
 		m.touchRow(ev.Addr)
 	}
 	m.fillL1(line, patt, write)
 }
 
+// fillL1 fills a line that has just missed in the L1. Its dirty victim
+// falls into the L2, which may still hold it, so that fill keeps the
+// presence scan.
 func (m *Model) fillL1(line addrmap.Addr, patt gsdram.Pattern, dirty bool) {
-	if ev, has := m.l1.Fill(line, patt, dirty); has && ev.Dirty {
+	if ev, has := m.l1.FillNew(line, patt, dirty); has && ev.Dirty {
 		m.l2.Fill(ev.Addr, ev.Pattern, true)
 	}
 }

@@ -17,6 +17,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gsdram/internal/addrmap"
 	"gsdram/internal/autopatt"
@@ -206,11 +207,6 @@ type counters struct {
 	MSHROccupancy metrics.Histogram
 }
 
-type mshrKey struct {
-	addr addrmap.Addr
-	patt gsdram.Pattern
-}
-
 type waiter struct {
 	core   int
 	write  bool
@@ -229,11 +225,13 @@ type mshrEntry struct {
 	waiters    []waiter
 	prefetched bool // entry created by a prefetch
 
-	// key/line/acc parameterise the entry's two persistent closures below,
-	// so the miss path schedules and enqueues without allocating. They are
-	// overwritten each time the (pooled) entry is reused.
-	key  mshrKey
+	// key/line/patt/acc parameterise the entry's two persistent closures
+	// below, so the miss path schedules and enqueues without allocating.
+	// They are overwritten each time the (pooled) entry is reused; acc
+	// only by a demand miss.
+	key  uint64 // lineKey(line, patt)
 	line addrmap.Addr
+	patt gsdram.Pattern
 	acc  Access
 	// lat is the entry's request-lifecycle timestamp record; the
 	// controller stamps it through Request.Lat. It lives in the (pooled)
@@ -261,7 +259,8 @@ type System struct {
 	// the overlap flush/invalidate paths.
 	caches []*cache.Cache
 
-	mshrs map[mshrKey]*mshrEntry
+	// mshrs holds the outstanding misses by lineKey.
+	mshrs lineTable[*mshrEntry]
 	// mshrFree recycles mshrEntry structs (and their waiter slices) so the
 	// steady-state miss path does not allocate.
 	mshrFree []*mshrEntry
@@ -271,9 +270,11 @@ type System struct {
 	// coalesced hot path does not allocate (see vaccess.go).
 	coal    *memctrl.Coalescer
 	vopFree []*vop
-	// prefetchedLines marks L2 lines whose last fill came from a prefetch,
-	// for usefulness accounting.
-	prefetchedLines map[mshrKey]bool
+	// prefetched marks, by lineKey, L2 lines whose last fill came from a
+	// prefetch, for usefulness accounting.
+	prefetched lineTable[struct{}]
+	// keyShift converts a line address to the line number lineKey packs.
+	keyShift uint
 	// pfBuf is the reusable candidate buffer train and warmTrain pass to
 	// the prefetcher, so a confident training does not allocate.
 	pfBuf []prefetch.Candidate
@@ -313,12 +314,7 @@ func New(cfg Config, q *sim.EventQueue) (*System, error) {
 	if err := cfg.GS.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{
-		cfg:             cfg,
-		q:               q,
-		mshrs:           make(map[mshrKey]*mshrEntry),
-		prefetchedLines: make(map[mshrKey]bool),
-	}
+	s := &System{cfg: cfg, q: q}
 	for i := 0; i < cfg.Cores; i++ {
 		l1, err := cache.New(cfg.L1)
 		if err != nil {
@@ -331,6 +327,7 @@ func New(cfg Config, q *sim.EventQueue) (*System, error) {
 		return nil, err
 	}
 	s.l2 = l2
+	s.keyShift = uint(bits.TrailingZeros(uint(min(cfg.L1.LineBytes, cfg.L2.LineBytes))))
 	memCfg := cfg.Mem
 	memCfg.Metrics = cfg.Metrics
 	if cfg.Log != nil {
@@ -446,7 +443,7 @@ func (s *System) registerMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("memsys.gatherv_patterned", &s.ctr.GathervPatterned)
 	reg.RegisterCounter("memsys.gatherv_fallback", &s.ctr.GathervFallback)
 	reg.RegisterHistogram("memsys.mshr_occupancy", &s.ctr.MSHROccupancy)
-	reg.RegisterGaugeFunc("memsys.mshr_outstanding", func() int64 { return int64(len(s.mshrs)) })
+	reg.RegisterGaugeFunc("memsys.mshr_outstanding", func() int64 { return int64(s.mshrs.len()) })
 	for i, l1 := range s.l1 {
 		l1.RegisterMetrics(reg, fmt.Sprintf("cache.l1.%d", i))
 	}
@@ -552,17 +549,19 @@ func (s *System) Access(now sim.Cycle, a Access, onDone func(now sim.Cycle)) (do
 	s.probeOtherL1s(now, a.Core, line, a.Pattern)
 
 	t2 := t1 + s.cfg.L2Latency
-	key := mshrKey{line, a.Pattern}
+	key := s.lineKey(line, a.Pattern)
 	if s.cfg.EnablePrefetch && !a.Write {
 		s.train(now, a, line)
 	}
 	if s.l2.Lookup(line, a.Pattern, false) {
 		s.ctr.L2Hits++
-		if s.prefetchedLines[key] {
+		if _, ok := s.prefetched.del(key); ok {
 			s.ctr.PrefUseful++
-			delete(s.prefetchedLines, key)
 		}
-		s.fillL1(a.Core, line, a.Pattern, a.Write)
+		// Nothing since the L1 lookup touched this core's L1: the probe
+		// and the prefetcher reach only other L1s, the L2 and the
+		// controller, whose completions are events.
+		s.fillL1(a.Core, line, a.Pattern, a.Write, true)
 		if s.lat != nil && !a.NonBlocking && t2 > now+1 {
 			s.lat.ChargeStall(a.Core, latency.StageL2Hit, t2-(now+1))
 		}
@@ -578,19 +577,19 @@ func (s *System) Access(now sim.Cycle, a Access, onDone func(now sim.Cycle)) (do
 		core: a.Core, write: a.Write, onDone: onDone, extra: extra,
 		start: now, blocking: !a.NonBlocking,
 	}
-	if e, ok := s.mshrs[key]; ok {
+	if e, ok := s.mshrs.get(key); ok {
 		w.coalesced = true
 		e.waiters = append(e.waiters, w)
-		s.cfg.Log.MSHR(now, flight.KindMSHRCoalesce, a.Core, uint64(line), a.Pattern, len(s.mshrs))
+		s.cfg.Log.MSHR(now, flight.KindMSHRCoalesce, a.Core, uint64(line), a.Pattern, s.mshrs.len())
 		return 0, false
 	}
 	e := s.newMSHR()
-	e.key, e.line, e.acc = key, line, a
+	e.key, e.line, e.patt, e.acc = key, line, a.Pattern, a
 	e.lat = latency.ReqLat{MSHRAlloc: now}
 	e.waiters = append(e.waiters, w)
-	s.mshrs[key] = e
-	s.ctr.MSHROccupancy.Observe(uint64(len(s.mshrs)))
-	s.cfg.Log.MSHR(now, flight.KindMSHRAlloc, a.Core, uint64(line), a.Pattern, len(s.mshrs))
+	s.mshrs.put(key, e)
+	s.ctr.MSHROccupancy.Observe(uint64(s.mshrs.len()))
+	s.cfg.Log.MSHR(now, flight.KindMSHRAlloc, a.Core, uint64(line), a.Pattern, s.mshrs.len())
 	// The fetch leaves for the controller after the L1 and L2 tag checks.
 	s.q.Schedule(t2, e.fetchFn)
 	return 0, false
@@ -605,25 +604,27 @@ func (s *System) train(now sim.Cycle, a Access, line addrmap.Addr) {
 	s.pfBuf = s.pf.Observe(s.pfBuf[:0], pc, line, a.Pattern)
 	for _, cand := range s.pfBuf {
 		cl := s.lineOf(cand.Addr)
-		key := mshrKey{cl, cand.Pattern}
-		if _, pending := s.mshrs[key]; pending {
+		// The capacity check comes first so that every key formed is in
+		// lineKey's range; the three checks have no side effects.
+		if uint64(cl) >= s.cfg.Mem.Spec.Capacity() {
+			continue
+		}
+		key := s.lineKey(cl, cand.Pattern)
+		if _, pending := s.mshrs.get(key); pending {
 			continue
 		}
 		if present, _ := s.l2.Probe(cl, cand.Pattern); present {
 			continue
 		}
-		if uint64(cl) >= s.cfg.Mem.Spec.Capacity() {
-			continue
-		}
 		e := s.newMSHR()
 		e.prefetched = true
-		e.key = key
+		e.key, e.line, e.patt = key, cl, cand.Pattern
 		e.lat = latency.ReqLat{MSHRAlloc: now}
-		s.mshrs[key] = e
-		s.ctr.MSHROccupancy.Observe(uint64(len(s.mshrs)))
-		s.cfg.Log.MSHR(now, flight.KindMSHRAlloc, a.Core, uint64(cl), cand.Pattern, len(s.mshrs))
+		s.mshrs.put(key, e)
+		s.ctr.MSHROccupancy.Observe(uint64(s.mshrs.len()))
+		s.cfg.Log.MSHR(now, flight.KindMSHRAlloc, a.Core, uint64(cl), cand.Pattern, s.mshrs.len())
 		if !s.enqueueFetch(now, cl, cand.Pattern, true, e) {
-			delete(s.mshrs, key)
+			s.mshrs.del(key)
 			s.recycleMSHR(e)
 			continue
 		}
@@ -685,37 +686,45 @@ func (s *System) fetch(now sim.Cycle, e *mshrEntry) {
 
 // finishFetch completes an outstanding miss: fill L2 (and the waiters'
 // L1s), then wake every waiter.
-func (s *System) finishFetch(now sim.Cycle, key mshrKey) {
-	e := s.mshrs[key]
-	if e == nil {
+func (s *System) finishFetch(now sim.Cycle, key uint64) {
+	e, ok := s.mshrs.del(key)
+	if !ok {
 		return
 	}
-	delete(s.mshrs, key)
-	s.cfg.Log.MSHR(now, flight.KindMSHRFree, e.acc.Core, uint64(key.addr), key.patt, len(e.waiters))
-	s.fillL2(key.addr, key.patt, false)
+	s.cfg.Log.MSHR(now, flight.KindMSHRFree, e.acc.Core, uint64(e.line), e.patt, len(e.waiters))
+	s.fillL2(e.line, e.patt, false)
 	if e.prefetched && len(e.waiters) == 0 {
-		s.prefetchedLines[key] = true
+		s.prefetched.put(key, struct{}{})
 	}
 	for _, w := range e.waiters {
-		s.fillL1(w.core, key.addr, key.patt, w.write)
+		s.fillL1(w.core, e.line, e.patt, w.write, false)
 		cb := w.onDone
 		s.q.Schedule(now+w.extra, cb)
 		if s.lat != nil {
 			// The waiter's continuation runs at now+extra: that is the
 			// cycle the core unstalls.
 			s.lat.ObserveMiss(w.core, w.start, now+w.extra, w.coalesced, w.blocking,
-				int(key.patt), &e.lat)
+				int(e.patt), &e.lat)
 			s.cfg.Log.Request(w.core, w.start, now+w.extra, w.coalesced, w.blocking,
-				int(key.patt), &e.lat)
+				int(e.patt), &e.lat)
 		}
 	}
 	s.recycleMSHR(e)
 }
 
-// fillL1 inserts a line into a core's L1, handling the eviction.
-func (s *System) fillL1(core int, line addrmap.Addr, p gsdram.Pattern, dirty bool) {
+// fillL1 inserts a line into a core's L1, handling the eviction. missed
+// reports that the caller saw the line miss in that L1 with nothing
+// filling it since, so the fill skips the presence scan (cache.FillNew).
+func (s *System) fillL1(core int, line addrmap.Addr, p gsdram.Pattern, dirty, missed bool) {
 	s.cfg.Log.CacheLine(s.q.Now(), flight.KindFill, core, 1, uint64(line), p)
-	if ev, has := s.l1[core].Fill(line, p, dirty); has && ev.Dirty {
+	var ev cache.Line
+	var has bool
+	if missed {
+		ev, has = s.l1[core].FillNew(line, p, dirty)
+	} else {
+		ev, has = s.l1[core].Fill(line, p, dirty)
+	}
+	if has && ev.Dirty {
 		// Dirty L1 victim falls into the L2.
 		s.fillL2(ev.Addr, ev.Pattern, true)
 	}
@@ -726,7 +735,7 @@ func (s *System) fillL2(line addrmap.Addr, p gsdram.Pattern, dirty bool) {
 	s.cfg.Log.CacheLine(s.q.Now(), flight.KindFill, -1, 2, uint64(line), p)
 	ev, has := s.l2.Fill(line, p, dirty)
 	if has {
-		delete(s.prefetchedLines, mshrKey{ev.Addr, ev.Pattern})
+		s.prefetched.del(s.lineKey(ev.Addr, ev.Pattern))
 	}
 	if has && ev.Dirty {
 		s.writeback(ev.Addr, ev.Pattern)
@@ -853,4 +862,4 @@ func (s *System) gatherLine(a addrmap.Addr, patt gsdram.Pattern) addrmap.Addr {
 }
 
 // Pending reports whether any fetch is still outstanding.
-func (s *System) Pending() bool { return len(s.mshrs) > 0 || s.ctrl.Pending() }
+func (s *System) Pending() bool { return s.mshrs.len() > 0 || s.ctrl.Pending() }

@@ -50,9 +50,11 @@ func (c Config) Validate() error {
 	if c.Measure == 0 {
 		return fmt.Errorf("sample: measure must be positive")
 	}
-	if c.Interval <= c.Warmup+c.Measure {
-		return fmt.Errorf("sample: interval (%d) must exceed warmup + measure (%d)",
-			c.Interval, c.Warmup+c.Measure)
+	// Interval > Warmup+Measure, compared without forming the sum, which
+	// wraps for a warm-up near 2^64.
+	if c.Warmup >= c.Interval || c.Measure >= c.Interval-c.Warmup {
+		return fmt.Errorf("sample: interval (%d) must exceed warmup (%d) + measure (%d)",
+			c.Interval, c.Warmup, c.Measure)
 	}
 	return nil
 }

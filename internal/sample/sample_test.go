@@ -139,3 +139,22 @@ func TestAccuracyAgainstDetailed(t *testing.T) {
 	t.Logf("sampled %d vs detailed %d cycles (%.2f%% error, CI ±%.2f%%, %d windows, %.1f%% detailed)",
 		res.Cycles, uint64(det), rel*100, res.RelCI()*100, res.Windows, res.SampledFraction()*100)
 }
+
+// TestValidateRejectsOverflowingWindow: the window must fit inside the
+// interval even when warmup + measure does not fit in a uint64, where
+// the sum would wrap to a small number.
+func TestValidateRejectsOverflowingWindow(t *testing.T) {
+	for _, c := range []sample.Config{
+		{Interval: 16384, Warmup: math.MaxUint64, Measure: 1024},
+		{Interval: 16384, Warmup: 512, Measure: math.MaxUint64},
+		{Interval: 16384, Warmup: 15360, Measure: 1024}, // exactly fills it
+		{Interval: 16384, Warmup: 512, Measure: 0},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%+v accepted", c)
+		}
+	}
+	if err := (sample.Config{Interval: 16384, Warmup: 15359, Measure: 1024}).Validate(); err != nil {
+		t.Errorf("a window one instruction short of the interval rejected: %v", err)
+	}
+}

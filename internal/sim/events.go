@@ -7,8 +7,6 @@
 // command bus) convert to CPU cycles at their boundary.
 package sim
 
-import "container/heap"
-
 // Cycle is a point in simulated time, measured in CPU cycles since the
 // start of the simulation.
 type Cycle uint64
@@ -18,14 +16,17 @@ type Event struct {
 	When Cycle
 	Fn   func(now Cycle)
 
-	// seq breaks ties so that events scheduled earlier at the same cycle
-	// run first, keeping the simulation deterministic.
-	seq   uint64
-	index int
+	index int // position in the heap, -1 when not pending
 }
 
 // EventQueue is a priority queue of events ordered by (When, insertion
 // order). The zero value is ready to use.
+//
+// The queue is a binary min-heap over a slice of slots, each holding its
+// event's ordering key next to the pointer: sifting compares keys inside
+// the slice and dereferences an Event only to record its new position.
+// Dispatch order is fully determined by (When, scheduling order), a
+// total order, so it does not depend on the heap's shape.
 //
 // Dispatched and cancelled Event structs are recycled through a free list,
 // so a steady-state simulation schedules without allocating. The *Event
@@ -35,7 +36,7 @@ type Event struct {
 // unrelated later event. Every current caller (e.g. memctrl's scheduler
 // wake-up) clears its handle at dispatch.
 type EventQueue struct {
-	h      eventHeap
+	h      []slot
 	nextID uint64
 	now    Cycle
 
@@ -55,7 +56,7 @@ func (q *EventQueue) PeekWhen() (when Cycle, ok bool) {
 	if len(q.h) == 0 {
 		return 0, false
 	}
-	return q.h[0].When, true
+	return q.h[0].when, true
 }
 
 // Advance moves the queue's clock forward to t without dispatching
@@ -67,7 +68,7 @@ func (q *EventQueue) Advance(t Cycle) {
 	if t <= q.now {
 		return
 	}
-	if len(q.h) > 0 && t > q.h[0].When {
+	if len(q.h) > 0 && t > q.h[0].when {
 		panic("sim: Advance past the event horizon")
 	}
 	q.now = t
@@ -93,9 +94,9 @@ func (q *EventQueue) Schedule(when Cycle, fn func(now Cycle)) *Event {
 	} else {
 		ev = &Event{When: when, Fn: fn}
 	}
-	ev.seq = q.nextID
+	q.h = append(q.h, slot{})
+	q.up(len(q.h)-1, slot{when: when, seq: q.nextID, ev: ev})
 	q.nextID++
-	heap.Push(&q.h, ev)
 	return ev
 }
 
@@ -109,10 +110,18 @@ func (q *EventQueue) ScheduleAfter(delta Cycle, fn func(now Cycle)) *Event {
 // has already been dispatched is a caller bug (see EventQueue) and is
 // detected only when the struct has not yet been reused.
 func (q *EventQueue) Cancel(ev *Event) {
-	if ev == nil || ev.index < 0 || ev.index >= len(q.h) || q.h[ev.index] != ev {
+	if ev == nil || ev.index < 0 || ev.index >= len(q.h) || q.h[ev.index].ev != ev {
 		return
 	}
-	heap.Remove(&q.h, ev.index)
+	i := ev.index
+	last := q.shrink()
+	if i < len(q.h) {
+		// The last slot fills the hole: it may belong above or below it.
+		q.down(i, last)
+		if last.ev.index == i {
+			q.up(i, last)
+		}
+	}
 	q.recycle(ev)
 }
 
@@ -129,7 +138,10 @@ func (q *EventQueue) Step() bool {
 	if len(q.h) == 0 {
 		return false
 	}
-	ev := heap.Pop(&q.h).(*Event)
+	ev := q.h[0].ev
+	if last := q.shrink(); len(q.h) > 0 {
+		q.down(0, last)
+	}
 	q.now = ev.When
 	fn := ev.Fn
 	// Recycle before dispatch so fn's own Schedule calls can reuse the
@@ -150,41 +162,72 @@ func (q *EventQueue) Run() Cycle {
 // RunUntil dispatches events with When <= deadline. It returns true if the
 // queue still has pending events beyond the deadline.
 func (q *EventQueue) RunUntil(deadline Cycle) bool {
-	for len(q.h) > 0 && q.h[0].When <= deadline {
+	for len(q.h) > 0 && q.h[0].when <= deadline {
 		q.Step()
 	}
 	return len(q.h) > 0
 }
 
-type eventHeap []*Event
+// slot is one heap position: a pending event and its ordering key. seq
+// is the event's scheduling order, which breaks ties so that events
+// scheduled earlier at the same cycle run first, keeping the simulation
+// deterministic.
+type slot struct {
+	when Cycle
+	seq  uint64
+	ev   *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
+func (a slot) before(b slot) bool {
+	return a.when < b.when || a.when == b.when && a.seq < b.seq
+}
 
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].When != h[j].When {
-		return h[i].When < h[j].When
+// shrink removes the heap's last slot and returns it.
+func (q *EventQueue) shrink() slot {
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h[n] = slot{} // drop the pointer
+	q.h = q.h[:n]
+	return last
+}
+
+// up places s at position i or above it, moving each later parent down
+// into the hole.
+func (q *EventQueue) up(i int, s slot) {
+	h := q.h
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].ev.index = i
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	h[i] = s
+	s.ev.index = i
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+// down places s at position i or below it, moving each earlier child up
+// into the hole.
+func (q *EventQueue) down(i int, s slot) {
+	h := q.h
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(s) {
+			break
+		}
+		h[i] = h[c]
+		h[i].ev.index = i
+		i = c
+	}
+	h[i] = s
+	s.ev.index = i
 }

@@ -18,6 +18,31 @@ func BenchmarkEventQueue(b *testing.B) {
 	}
 }
 
+// BenchmarkEventQueueCancel measures the cancel-heavy pattern of
+// memctrl's scheduler wake-ups: every dispatch is preceded by pulling a
+// pending wake-up earlier, which cancels it and schedules a new one, in
+// a queue holding a few dozen other events.
+func BenchmarkEventQueueCancel(b *testing.B) {
+	q := &EventQueue{}
+	var wake *Event
+	wakeFn := func(now Cycle) { wake = nil }
+	fn := func(now Cycle) {}
+	for i := 0; i < 32; i++ {
+		q.Schedule(Cycle(i), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := q.Now()
+		if wake != nil {
+			q.Cancel(wake)
+		}
+		wake = q.Schedule(now+8, wakeFn)
+		q.Schedule(now+32, fn)
+		q.Step()
+	}
+}
+
 // TestEventQueueSteadyStateZeroAllocs verifies the free list: once the
 // queue has warmed up, a schedule/dispatch cycle reuses Event structs and
 // performs no heap allocations.
@@ -37,6 +62,17 @@ func TestEventQueueSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state EventQueue cycle allocates %v times, want 0", allocs)
+	}
+	// Cancelling recycles too: a cancel-and-reschedule cycle reuses the
+	// cancelled struct.
+	allocs = testing.AllocsPerRun(100, func() {
+		ev := q.Schedule(q.Now()+5, fn)
+		q.Schedule(q.Now()+1, fn)
+		q.Cancel(ev)
+		q.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state cancel cycle allocates %v times, want 0", allocs)
 	}
 }
 

@@ -9,7 +9,8 @@ import "testing"
 //   - dispatch order is exactly ascending (When, scheduling order), with
 //     past schedule times clamped to Now;
 //   - the free list never aliases a pending event (an Event struct is
-//     either pending in the heap or free, never both).
+//     either pending in the heap or free, never both), and every pending
+//     event's index and time match its heap slot.
 func checkQueueOrdering(t *testing.T, seed uint64, steps int) {
 	t.Helper()
 	rng := NewRand(seed)
@@ -40,10 +41,16 @@ func checkQueueOrdering(t *testing.T, seed uint64, steps int) {
 
 	checkFreeList := func() {
 		t.Helper()
+		for i, ps := range q.h {
+			if ps.ev.index != i || ps.when != ps.ev.When {
+				t.Fatalf("slot %d (time %d) holds an event with index %d and time %d",
+					i, ps.when, ps.ev.index, ps.ev.When)
+			}
+		}
 		for _, fev := range q.free {
-			for _, pev := range q.h {
-				if fev == pev {
-					t.Fatalf("free list aliases pending event (when=%d)", pev.When)
+			for _, ps := range q.h {
+				if fev == ps.ev {
+					t.Fatalf("free list aliases pending event (when=%d)", ps.when)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -178,6 +179,8 @@ func TestValidate(t *testing.T) {
 		{"negative workers", func(s *Spec) { s.Workers = -1 }, "workers"},
 		{"noinline with sampling", func(s *Spec) { s.NoInline = true }, "noinline"},
 		{"bad sample window", func(s *Spec) { s.Sample = &Sample{Interval: 100, Warmup: 60, Measure: 50} }, "interval"},
+		// warmup + measure wraps to 1023 in uint64, below the interval.
+		{"overflowing sample warmup", func(s *Spec) { s.Sample = &Sample{Interval: 16384, Warmup: math.MaxUint64, Measure: 1024} }, "interval"},
 	}
 	for _, tc := range cases {
 		s := baseSpec()

@@ -138,9 +138,10 @@ type RunMetrics struct {
 // rigTemplates caches one populated machine+DB per (layout, tuples):
 // population is deterministic, so every run with the same key starts from
 // bit-identical state whether it clones the template or rebuilds from
-// scratch, and cloning row data is far cheaper than re-running the
-// per-line functional writes. The cache is shared across experiments and
-// guarded for the concurrent worker pool.
+// scratch, and a clone, which shares the template's rows, is far cheaper
+// than re-running the per-line functional writes. The cache is shared
+// across experiments and guarded for the concurrent worker pool; the lock
+// also serialises Clone, which freezes the template's modules.
 var rigTemplates struct {
 	sync.Mutex
 	m map[rigKey]*imdb.DB

@@ -32,9 +32,9 @@ func sampleConfigFor(base sample.Config, j int) sample.Config {
 //
 // Streams supporting a functional shadow overlay (imdb.TxnStream) are
 // switched into it: the timing path is tag-only and checksums come out
-// identical, so the scattered physical-layout writes — and the
-// copy-on-write DRAM row copies they would trigger on the cloned
-// template — are pure overhead for a sampled run.
+// identical, so the machine's word path — address decomposition, page
+// flags and the cloned module's own word overlay — is pure overhead for
+// a sampled run's fast-forwarded field accesses.
 func runSampled(sc sample.Config, r *rig.Rig, s cpu.Stream) (RunMetrics, *sample.Result, error) {
 	if sh, ok := s.(interface{ EnableShadow() }); ok {
 		sh.EnableShadow()

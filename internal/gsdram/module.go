@@ -1,6 +1,12 @@
 package gsdram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+
+	"gsdram/internal/hashtab"
+)
 
 // Geometry describes the storage organisation of a rank as seen by the
 // memory controller: banks × rows × columns, where one column holds one
@@ -40,28 +46,28 @@ type Module struct {
 	geom    Geometry
 	shuffle ShuffleFunc
 
-	// rows holds the rank's contents, allocated lazily one DRAM row at a
-	// time (indexed by bank*Rows+row; nil = untouched). Within a row,
-	// words are indexed by chipColumn*Chips + chip — each chip's local
+	// chunks is the rank's row directory: row key bank*Rows+row lives at
+	// chunks[key>>chunkShift][key&chunkMask]. A chunk is allocated on the
+	// first write into any of its chunkRows rows and a row on the first
+	// write into it, so an empty Table 1 rank (262144 rows) costs a
+	// 4096-pointer directory, and a module costs what it stores. Within a
+	// row, words are indexed by chipColumn*Chips + chip — each chip's local
 	// column address — so the layout matches the physical chips bit for
 	// bit. Untouched rows read as zero, like freshly initialised DRAM in
-	// the model. A dense slice (Banks×Rows pointers) keeps the per-word
-	// row lookup off the map hash path.
-	rows [][]uint64
+	// the model.
+	chunks []*rowChunk
 
-	// owned is a bitset over rows marking storage this module owns
-	// exclusively. Clone shares row storage between the two modules and
-	// clears both bitsets; a module copies a shared row before its first
-	// write to it (copy-on-write), so clones of a populated template cost
-	// O(rows) pointer copies instead of a deep copy of the contents.
-	owned []uint64
+	// frozen marks that chunks, and every row it holds, are shared with a
+	// Clone sibling and must not be written. Clone sets it on both sides
+	// and nothing clears it; a frozen module's writes go to overlay.
+	frozen bool
 
-	// rowsShared marks that rows and owned are still the shared tables of
-	// a Clone pair: the first mutation must replace them with private
-	// copies (unshare) before touching either. Shadow-mode sampled runs
-	// never write the machine, so their clones stay in this state for
-	// their whole lifetime and the clone costs O(1).
-	rowsShared bool
+	// overlay holds the words a frozen module has written, keyed by
+	// wordKey: the physical word's bank, row, chip column and chip. While
+	// it is non-empty, every read consults it before the row directory. A
+	// cloned machine therefore costs what its run writes, a table slot
+	// per written word, not a copy of each row it writes to.
+	overlay hashtab.Table[uint64]
 
 	// plans is the precomputed gather-plan table, indexed by
 	// ((shuffledBit*patterns)+pattern)*Cols + column. It is built once at
@@ -78,7 +84,20 @@ type Module struct {
 	// two chip count, avoiding a division per functional word access.
 	chipShift uint
 	chipMask  int
+	// rowShift is log2(Cols*Chips): a wordKey holds the row key above
+	// rowShift bits of word index.
+	rowShift uint
 }
+
+// The row directory's chunks hold chunkRows rows each.
+const (
+	chunkShift = 6
+	chunkRows  = 1 << chunkShift
+	chunkMask  = chunkRows - 1
+)
+
+// rowChunk is one directory entry: chunkRows rows, nil until written.
+type rowChunk [chunkRows][]uint64
 
 // planKey identifies a cached gather plan in the lazy fallback.
 type planKey struct {
@@ -138,6 +157,7 @@ func NewModules(p Params, g Geometry, fn ShuffleFunc, n int) ([]*Module, error) 
 		shuffle:   fn,
 		chipShift: uint(p.chipBits()),
 		chipMask:  p.Chips - 1,
+		rowShift:  uint(p.chipBits() + bits.TrailingZeros(uint(g.Cols))),
 	}
 	patterns := int(p.MaxPattern()) + 1
 	if entries := 2 * patterns * g.Cols; entries <= maxDensePlans {
@@ -158,8 +178,7 @@ func NewModules(p Params, g Geometry, fn ShuffleFunc, n int) ([]*Module, error) 
 	mods := make([]*Module, n)
 	for i := range mods {
 		m := proto
-		m.rows = make([][]uint64, g.Banks*g.Rows)
-		m.owned = make([]uint64, (g.Banks*g.Rows+63)/64)
+		m.chunks = make([]*rowChunk, (g.Banks*g.Rows+chunkMask)>>chunkShift)
 		if m.plans == nil {
 			m.planCache = make(map[planKey]*gatherPlan)
 		}
@@ -170,25 +189,21 @@ func NewModules(p Params, g Geometry, fn ShuffleFunc, n int) ([]*Module, error) 
 
 // Clone returns an independent copy of the module's contents. The
 // immutable state — parameters, shuffle function and precomputed gather
-// plans — is shared with the original. Row storage is shared
-// copy-on-write: both modules mark every row as shared and copy a row
-// the first time they write to it, so writes to either module never
-// appear in the other while the clone itself costs only a pointer-slice
-// copy. Cloning a populated module is therefore far cheaper than
-// re-running the writes that populated it, which is how the experiment
-// harness stamps out per-run machines.
+// plans — is shared with the original. So is the row directory: Clone
+// freezes it on both sides, and from then on each module keeps its own
+// writes in its word overlay, so writes to either module never appear in
+// the other. A clone costs a copy of the original's overlay, which is
+// empty for a populated template, and each later write costs one overlay
+// slot, not a row copy. Cloning a populated module is therefore far
+// cheaper than re-running the writes that populated it, which is how the
+// experiment harness stamps out per-run machines.
+//
+// Clone writes the original (it freezes it), so concurrent Clones of one
+// module must be serialised, as the harness's template cache does.
 func (m *Module) Clone() *Module {
+	m.frozen = true
 	n := *m
-	// Neither side owns any row after a clone, so the ownership bitmap
-	// (zeroed here, possibly already shared) and the row table itself
-	// are shared too: the first write through either module copies them
-	// (unshare) before mutating. A clone that never writes the module —
-	// a shadow-overlay sampled run reads and writes only its logical
-	// overlay — costs O(1) per clone instead of a row-table copy.
-	for i := range m.owned {
-		m.owned[i] = 0
-	}
-	m.rowsShared, n.rowsShared = true, true
+	n.overlay = m.overlay.Clone()
 	if m.planCache != nil {
 		// Lazy-plan configurations get their own memo map (entries are
 		// immutable and safely shared; the map itself is not).
@@ -206,53 +221,45 @@ func (m *Module) Params() Params { return m.params }
 // Geometry returns the module's storage organisation.
 func (m *Module) Geometry() Geometry { return m.geom }
 
-// rowSlice returns the storage of one DRAM row. With alloc set (the
-// write path) it allocates untouched rows and copies rows still shared
-// with a Clone sibling before returning them, so the caller may mutate
-// the result. It returns nil for an untouched row when alloc is false.
-func (m *Module) rowSlice(bank, row int, alloc bool) []uint64 {
-	key := bank*m.geom.Rows + row
-	s := m.rows[key]
-	if !alloc {
-		return s
-	}
-	if m.rowsShared {
-		m.unshare()
-	}
-	if bit := uint64(1) << (uint(key) & 63); m.owned[key>>6]&bit == 0 {
-		if s == nil {
-			s = make([]uint64, m.geom.Cols*m.params.Chips)
-		} else {
-			s = append([]uint64(nil), s...)
-		}
-		m.rows[key] = s
-		m.owned[key>>6] |= bit
-	}
-	return s
-}
-
-// unshare gives the module a private row table and ownership bitmap
-// before its first post-clone write. The sibling keeps the shared
-// (now immutable to us) arrays.
-func (m *Module) unshare() {
-	m.rows = append([][]uint64(nil), m.rows...)
-	m.owned = make([]uint64, len(m.owned))
-	m.rowsShared = false
+// wordKey is the overlay key of word idx (chipColumn*Chips + chip) of
+// row key (bank*Rows + row); the +1 keeps it off the table's empty key.
+func (m *Module) wordKey(key, idx int) uint64 {
+	return (uint64(key)<<m.rowShift | uint64(idx)) + 1
 }
 
 // setWord stores one word at (bank, row, chipCol, chip).
 func (m *Module) setWord(bank, row, chipCol, chip int, v uint64) {
-	m.rowSlice(bank, row, true)[chipCol*m.params.Chips+chip] = v
+	key, idx := bank*m.geom.Rows+row, chipCol*m.params.Chips+chip
+	if m.frozen {
+		m.overlay.Put(m.wordKey(key, idx), v)
+		return
+	}
+	c := m.chunks[key>>chunkShift]
+	if c == nil {
+		c = new(rowChunk)
+		m.chunks[key>>chunkShift] = c
+	}
+	s := c[key&chunkMask]
+	if s == nil {
+		s = make([]uint64, m.geom.Cols*m.params.Chips)
+		c[key&chunkMask] = s
+	}
+	s[idx] = v
 }
 
 // getWord loads one word at (bank, row, chipCol, chip); untouched rows
 // read as zero.
 func (m *Module) getWord(bank, row, chipCol, chip int) uint64 {
-	s := m.rowSlice(bank, row, false)
-	if s == nil {
-		return 0
+	key, idx := bank*m.geom.Rows+row, chipCol*m.params.Chips+chip
+	if m.overlay.Len() != 0 {
+		if v, ok := m.overlay.Get(m.wordKey(key, idx)); ok {
+			return v
+		}
 	}
-	return s[chipCol*m.params.Chips+chip]
+	if c := m.chunks[key>>chunkShift]; c != nil && c[key&chunkMask] != nil {
+		return c[key&chunkMask][idx]
+	}
+	return 0
 }
 
 func (m *Module) checkAddr(bank, row, col int) error {
@@ -418,19 +425,32 @@ func (m *Module) ReadWord(bank, row, logical int, shuffled bool) (uint64, error)
 // deterministic (bank, row, chipCol, chip) order, including words that
 // are still zero. It is the state-extraction hook the differential
 // verification harness uses to compare the module's physical chip layout
-// word-for-word against an independent golden model. Untouched rows
-// (never written) are skipped; they read as zero through every other
+// word-for-word against an independent golden model. A row is allocated
+// once any write has reached it, in the row directory or in the overlay;
+// untouched rows are skipped, and read as zero through every other
 // accessor.
 func (m *Module) ForEachWord(fn func(bank, row, chipCol, chip int, v uint64)) {
-	for key, s := range m.rows {
-		if s == nil {
+	var keys []int
+	for ci, c := range m.chunks {
+		if c == nil {
 			continue
 		}
-		bank := key / m.geom.Rows
-		row := key % m.geom.Rows
+		for i, s := range c {
+			if s != nil {
+				keys = append(keys, ci<<chunkShift|i)
+			}
+		}
+	}
+	if m.overlay.Len() != 0 {
+		m.overlay.Range(func(k, _ uint64) { keys = append(keys, int((k-1)>>m.rowShift)) })
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+	}
+	for _, key := range keys {
+		bank, row := key/m.geom.Rows, key%m.geom.Rows
 		for cc := 0; cc < m.geom.Cols; cc++ {
 			for chip := 0; chip < m.params.Chips; chip++ {
-				fn(bank, row, cc, chip, s[cc*m.params.Chips+chip])
+				fn(bank, row, cc, chip, m.getWord(bank, row, cc, chip))
 			}
 		}
 	}

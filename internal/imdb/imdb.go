@@ -12,6 +12,7 @@ import (
 	"gsdram/internal/addrmap"
 	"gsdram/internal/cpu"
 	"gsdram/internal/gsdram"
+	"gsdram/internal/hashtab"
 	"gsdram/internal/machine"
 	"gsdram/internal/sim"
 )
@@ -226,16 +227,17 @@ type TxnStream struct {
 
 	// shadow, when non-nil, redirects the stream's functional reads and
 	// writes from the machine's DRAM rows to a compact logical overlay
-	// keyed by t*FieldsPerTuple+f: written fields live in the map, unwritten
-	// fields read as InitialValue. The op stream, the checksum and the
-	// completed count are bit-identical to machine-backed execution —
-	// op addresses depend only on the RNG, and the overlay stores exactly
-	// the values the machine would — but the machine's row data stays at
-	// its populated state. Sampled runs (DESIGN.md §5.7) use this: the
-	// timing path is tag-only, so skipping the scattered physical-layout
-	// writes (and the copy-on-write row copies they trigger) changes no
-	// measurable output while removing most of the fast-forward cost.
-	shadow *shadowTab
+	// keyed by fieldKey: written fields live in the table, unwritten fields
+	// read as InitialValue. The op stream, the checksum and the completed
+	// count are bit-identical to machine-backed execution — op addresses
+	// depend only on the RNG, and the overlay stores exactly the values
+	// the machine would (TestShadowMatchesMachine pins this) — but the
+	// machine's DRAM image stays at its populated state. Sampled runs
+	// (DESIGN.md §5.7) use this: their timing path is tag-only, and the
+	// overlay spares each fast-forwarded field access the machine's word
+	// path (address decomposition, page flags and the module's own clone
+	// overlay).
+	shadow *hashtab.Table[uint64]
 }
 
 // TransactionStream returns an instruction stream executing `count`
@@ -278,14 +280,19 @@ func (s *TxnStream) EnableShadow() {
 	// Presize for the stream's total write count (an upper bound on
 	// distinct written fields) so the table is allocated once instead of
 	// through a doubling chain of large, zeroed arrays.
-	s.shadow = newShadowTabSized(s.count * (s.mix.WO + s.mix.RW))
+	s.shadow = new(hashtab.Table[uint64])
+	s.shadow.Reserve(s.count * (s.mix.WO + s.mix.RW))
 }
+
+// fieldKey is field f of tuple t's shadow key; the +1 keeps it off the
+// table's empty key.
+func fieldKey(t, f int) uint64 { return uint64(t*FieldsPerTuple+f) + 1 }
 
 // readVal functionally reads field f of tuple t through the active
 // backing (overlay or machine) and folds it into the checksum.
 func (s *TxnStream) readVal(t, f int) {
 	if s.shadow != nil {
-		v, ok := s.shadow.get(uint32(t*FieldsPerTuple + f))
+		v, ok := s.shadow.Get(fieldKey(t, f))
 		if !ok {
 			v = InitialValue(t, f)
 		}
@@ -304,7 +311,7 @@ func (s *TxnStream) readVal(t, f int) {
 func (s *TxnStream) writeVal(t, f int) {
 	v := s.rng.Uint64()
 	if s.shadow != nil {
-		s.shadow.set(uint32(t*FieldsPerTuple+f), v)
+		s.shadow.Put(fieldKey(t, f), v)
 		return
 	}
 	if err := s.db.WriteField(t, f, v); err != nil {

@@ -114,9 +114,10 @@ func Default() (*Machine, error) {
 }
 
 // Clone returns an independent copy of the machine: address-space flags
-// and module contents are deep-copied (immutable module plan tables are
-// shared), so two clones never observe each other's writes. A clone of a
-// populated machine is bit-identical to rebuilding and repopulating one.
+// are copied and every module is cloned (see gsdram.Module.Clone, which
+// also freezes the original's), so two clones never observe each other's
+// writes. A clone of a populated machine is bit-identical to rebuilding
+// and repopulating one.
 func (m *Machine) Clone() *Machine {
 	n := &Machine{Spec: m.Spec, GS: m.GS, AS: m.AS.Clone(), dec: m.dec}
 	n.mods = make([][]*gsdram.Module, len(m.mods))

@@ -24,6 +24,7 @@ import (
 	"gsdram/internal/cache"
 	"gsdram/internal/flight"
 	"gsdram/internal/gsdram"
+	"gsdram/internal/hashtab"
 	"gsdram/internal/latency"
 	"gsdram/internal/memctrl"
 	"gsdram/internal/metrics"
@@ -260,7 +261,7 @@ type System struct {
 	caches []*cache.Cache
 
 	// mshrs holds the outstanding misses by lineKey.
-	mshrs lineTable[*mshrEntry]
+	mshrs hashtab.Table[*mshrEntry]
 	// mshrFree recycles mshrEntry structs (and their waiter slices) so the
 	// steady-state miss path does not allocate.
 	mshrFree []*mshrEntry
@@ -272,7 +273,7 @@ type System struct {
 	vopFree []*vop
 	// prefetched marks, by lineKey, L2 lines whose last fill came from a
 	// prefetch, for usefulness accounting.
-	prefetched lineTable[struct{}]
+	prefetched hashtab.Table[struct{}]
 	// keyShift converts a line address to the line number lineKey packs.
 	keyShift uint
 	// pfBuf is the reusable candidate buffer train and warmTrain pass to
@@ -366,6 +367,21 @@ func (s *System) ChargeStoreBufferStall(core int, cycles sim.Cycle) {
 	}
 }
 
+// lineKey packs (line, pattern) into the key of the MSHR and prefetch-mark
+// tables the way internal/cache packs its tags: the line number above 16
+// pattern bits (gsdram.Params caps PatternBits at 16) and a set low bit,
+// so no key is 0. The line number counts units of the smaller cache
+// line, which every line address the system forms is aligned to. Like
+// the cache's tag packing, it is exact below 2^47 line numbers; lineKey
+// panics beyond, where cache.Fill and the controller panic too.
+func (s *System) lineKey(line addrmap.Addr, p gsdram.Pattern) uint64 {
+	n := uint64(line) >> s.keyShift
+	if n >= 1<<47 {
+		panic(fmt.Sprintf("memsys: line %#x exceeds the packed-key range", uint64(line)))
+	}
+	return n<<17 | uint64(p)<<1 | 1
+}
+
 // newMSHR returns a recycled (or fresh) entry with no waiters.
 func (s *System) newMSHR() *mshrEntry {
 	if n := len(s.mshrFree); n > 0 {
@@ -443,7 +459,7 @@ func (s *System) registerMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("memsys.gatherv_patterned", &s.ctr.GathervPatterned)
 	reg.RegisterCounter("memsys.gatherv_fallback", &s.ctr.GathervFallback)
 	reg.RegisterHistogram("memsys.mshr_occupancy", &s.ctr.MSHROccupancy)
-	reg.RegisterGaugeFunc("memsys.mshr_outstanding", func() int64 { return int64(s.mshrs.len()) })
+	reg.RegisterGaugeFunc("memsys.mshr_outstanding", func() int64 { return int64(s.mshrs.Len()) })
 	for i, l1 := range s.l1 {
 		l1.RegisterMetrics(reg, fmt.Sprintf("cache.l1.%d", i))
 	}
@@ -555,7 +571,7 @@ func (s *System) Access(now sim.Cycle, a Access, onDone func(now sim.Cycle)) (do
 	}
 	if s.l2.Lookup(line, a.Pattern, false) {
 		s.ctr.L2Hits++
-		if _, ok := s.prefetched.del(key); ok {
+		if _, ok := s.prefetched.Del(key); ok {
 			s.ctr.PrefUseful++
 		}
 		// Nothing since the L1 lookup touched this core's L1: the probe
@@ -577,19 +593,19 @@ func (s *System) Access(now sim.Cycle, a Access, onDone func(now sim.Cycle)) (do
 		core: a.Core, write: a.Write, onDone: onDone, extra: extra,
 		start: now, blocking: !a.NonBlocking,
 	}
-	if e, ok := s.mshrs.get(key); ok {
+	if e, ok := s.mshrs.Get(key); ok {
 		w.coalesced = true
 		e.waiters = append(e.waiters, w)
-		s.cfg.Log.MSHR(now, flight.KindMSHRCoalesce, a.Core, uint64(line), a.Pattern, s.mshrs.len())
+		s.cfg.Log.MSHR(now, flight.KindMSHRCoalesce, a.Core, uint64(line), a.Pattern, s.mshrs.Len())
 		return 0, false
 	}
 	e := s.newMSHR()
 	e.key, e.line, e.patt, e.acc = key, line, a.Pattern, a
 	e.lat = latency.ReqLat{MSHRAlloc: now}
 	e.waiters = append(e.waiters, w)
-	s.mshrs.put(key, e)
-	s.ctr.MSHROccupancy.Observe(uint64(s.mshrs.len()))
-	s.cfg.Log.MSHR(now, flight.KindMSHRAlloc, a.Core, uint64(line), a.Pattern, s.mshrs.len())
+	s.mshrs.Put(key, e)
+	s.ctr.MSHROccupancy.Observe(uint64(s.mshrs.Len()))
+	s.cfg.Log.MSHR(now, flight.KindMSHRAlloc, a.Core, uint64(line), a.Pattern, s.mshrs.Len())
 	// The fetch leaves for the controller after the L1 and L2 tag checks.
 	s.q.Schedule(t2, e.fetchFn)
 	return 0, false
@@ -610,7 +626,7 @@ func (s *System) train(now sim.Cycle, a Access, line addrmap.Addr) {
 			continue
 		}
 		key := s.lineKey(cl, cand.Pattern)
-		if _, pending := s.mshrs.get(key); pending {
+		if _, pending := s.mshrs.Get(key); pending {
 			continue
 		}
 		if present, _ := s.l2.Probe(cl, cand.Pattern); present {
@@ -620,11 +636,11 @@ func (s *System) train(now sim.Cycle, a Access, line addrmap.Addr) {
 		e.prefetched = true
 		e.key, e.line, e.patt = key, cl, cand.Pattern
 		e.lat = latency.ReqLat{MSHRAlloc: now}
-		s.mshrs.put(key, e)
-		s.ctr.MSHROccupancy.Observe(uint64(s.mshrs.len()))
-		s.cfg.Log.MSHR(now, flight.KindMSHRAlloc, a.Core, uint64(cl), cand.Pattern, s.mshrs.len())
+		s.mshrs.Put(key, e)
+		s.ctr.MSHROccupancy.Observe(uint64(s.mshrs.Len()))
+		s.cfg.Log.MSHR(now, flight.KindMSHRAlloc, a.Core, uint64(cl), cand.Pattern, s.mshrs.Len())
 		if !s.enqueueFetch(now, cl, cand.Pattern, true, e) {
-			s.mshrs.del(key)
+			s.mshrs.Del(key)
 			s.recycleMSHR(e)
 			continue
 		}
@@ -687,14 +703,14 @@ func (s *System) fetch(now sim.Cycle, e *mshrEntry) {
 // finishFetch completes an outstanding miss: fill L2 (and the waiters'
 // L1s), then wake every waiter.
 func (s *System) finishFetch(now sim.Cycle, key uint64) {
-	e, ok := s.mshrs.del(key)
+	e, ok := s.mshrs.Del(key)
 	if !ok {
 		return
 	}
 	s.cfg.Log.MSHR(now, flight.KindMSHRFree, e.acc.Core, uint64(e.line), e.patt, len(e.waiters))
 	s.fillL2(e.line, e.patt, false)
 	if e.prefetched && len(e.waiters) == 0 {
-		s.prefetched.put(key, struct{}{})
+		s.prefetched.Put(key, struct{}{})
 	}
 	for _, w := range e.waiters {
 		s.fillL1(w.core, e.line, e.patt, w.write, false)
@@ -735,7 +751,7 @@ func (s *System) fillL2(line addrmap.Addr, p gsdram.Pattern, dirty bool) {
 	s.cfg.Log.CacheLine(s.q.Now(), flight.KindFill, -1, 2, uint64(line), p)
 	ev, has := s.l2.Fill(line, p, dirty)
 	if has {
-		s.prefetched.del(s.lineKey(ev.Addr, ev.Pattern))
+		s.prefetched.Del(s.lineKey(ev.Addr, ev.Pattern))
 	}
 	if has && ev.Dirty {
 		s.writeback(ev.Addr, ev.Pattern)
@@ -862,4 +878,4 @@ func (s *System) gatherLine(a addrmap.Addr, patt gsdram.Pattern) addrmap.Addr {
 }
 
 // Pending reports whether any fetch is still outstanding.
-func (s *System) Pending() bool { return s.mshrs.len() > 0 || s.ctrl.Pending() }
+func (s *System) Pending() bool { return s.mshrs.Len() > 0 || s.ctrl.Pending() }

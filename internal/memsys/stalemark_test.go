@@ -28,7 +28,7 @@ func TestStalePrefetchMarkSurvivesOverlapInvalidation(t *testing.T) {
 	if present, _ := h.s.l2.Probe(x, 0); !present {
 		t.Fatal("the scan did not prefetch column 17 into the L2")
 	}
-	if _, marked := h.s.prefetched.get(h.s.lineKey(x, 0)); !marked {
+	if _, marked := h.s.prefetched.Get(h.s.lineKey(x, 0)); !marked {
 		t.Fatal("column 17's prefetched L2 line carries no mark")
 	}
 
@@ -40,7 +40,7 @@ func TestStalePrefetchMarkSurvivesOverlapInvalidation(t *testing.T) {
 		t.Fatal("the patterned store did not invalidate column 17's L2 line")
 	}
 	// The defect: the dropped line keeps its mark.
-	if _, marked := h.s.prefetched.get(h.s.lineKey(x, 0)); !marked {
+	if _, marked := h.s.prefetched.Get(h.s.lineKey(x, 0)); !marked {
 		t.Fatal("the invalidated line's mark is gone: the stale-mark defect is fixed; update this test")
 	}
 

@@ -68,8 +68,8 @@ func (s *System) WarmAccess(a Access) {
 		s.warmTrain(a, line)
 	}
 	if s.l2.WarmLookup(line, a.Pattern, false) {
-		if s.prefetched.len() != 0 {
-			s.prefetched.del(s.lineKey(line, a.Pattern))
+		if s.prefetched.Len() != 0 {
+			s.prefetched.Del(s.lineKey(line, a.Pattern))
 		}
 		s.warmFillL1(a.Core, line, a.Pattern, a.Write)
 		return
@@ -85,8 +85,8 @@ func (s *System) WarmAccess(a Access) {
 	if a.Pattern != gsdram.DefaultPattern {
 		s.warmInvMemoOK = false
 	}
-	if ev, has := s.l2.WarmFillNew(line, a.Pattern, false); has && s.prefetched.len() != 0 {
-		s.prefetched.del(s.lineKey(ev.Addr, ev.Pattern))
+	if ev, has := s.l2.WarmFillNew(line, a.Pattern, false); has && s.prefetched.Len() != 0 {
+		s.prefetched.Del(s.lineKey(ev.Addr, ev.Pattern))
 	}
 	s.warmFillL1(a.Core, line, a.Pattern, a.Write)
 }
@@ -106,7 +106,7 @@ func (s *System) warmTrain(a Access, line addrmap.Addr) {
 			continue
 		}
 		s.warmFillL2(cl, cand.Pattern, false)
-		s.prefetched.put(s.lineKey(cl, cand.Pattern), struct{}{})
+		s.prefetched.Put(s.lineKey(cl, cand.Pattern), struct{}{})
 	}
 }
 
@@ -132,8 +132,8 @@ func (s *System) warmFillL2(line addrmap.Addr, p gsdram.Pattern, dirty bool) {
 		s.warmInvMemoOK = false
 	}
 	ev, has := s.l2.WarmFill(line, p, dirty)
-	if has && s.prefetched.len() != 0 {
-		s.prefetched.del(s.lineKey(ev.Addr, ev.Pattern))
+	if has && s.prefetched.Len() != 0 {
+		s.prefetched.Del(s.lineKey(ev.Addr, ev.Pattern))
 	}
 }
 

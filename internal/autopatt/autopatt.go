@@ -65,6 +65,9 @@ func New(cfg Config) *Detector {
 // Stats returns a snapshot of the counters.
 func (d *Detector) Stats() Stats { return d.stats }
 
+// SetStats puts back counters that Stats returned.
+func (d *Detector) SetStats(s Stats) { d.stats = s }
+
 // CountPromotion records that the memory system acted on a detection.
 func (d *Detector) CountPromotion() { d.stats.Promoted++ }
 

@@ -26,7 +26,8 @@ func sampleConfigFor(base sample.Config, j int) sample.Config {
 // runSampled executes one stream under interval sampling on a fresh rig
 // and synthesizes RunMetrics comparable to run: extrapolated
 // cycles and energy from the estimate, memory-side counters from the
-// detailed windows (functional fast-forward touches no counters).
+// detailed windows (the sampler restores every counter after each
+// fast-forward segment).
 // Sampled rigs are untelemetered, and the sampler drives its own cores,
 // so the rig's fast-path switch does not apply.
 //

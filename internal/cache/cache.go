@@ -164,6 +164,16 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
+// Counters is a saved copy of a cache's counters (SaveCounters).
+type Counters struct{ ctr counters }
+
+// SaveCounters returns the counters, for RestoreCounters to put back
+// after a stretch of accesses that must not count.
+func (c *Cache) SaveCounters() Counters { return Counters{c.ctr} }
+
+// RestoreCounters puts back counters that SaveCounters returned.
+func (c *Cache) RestoreCounters(saved Counters) { c.ctr = saved.ctr }
+
 // RegisterMetrics registers the cache's counters under prefix (e.g.
 // "cache.l1.0"). No-op on a nil registry.
 func (c *Cache) RegisterMetrics(r *metrics.Registry, prefix string) {
@@ -244,18 +254,16 @@ func (c *Cache) Probe(a addrmap.Addr, p gsdram.Pattern) (present, dirty bool) {
 	return false, false
 }
 
-// evictLine extracts the line being displaced at index vi, counting the
-// eviction when counted is set, and returns whether one was resident.
-func (c *Cache) evictLine(vi int, counted bool) (Line, bool) {
+// evictLine extracts and counts the line being displaced at index vi,
+// and returns whether one was resident.
+func (c *Cache) evictLine(vi int) (Line, bool) {
 	key := c.keys[vi]
 	if key&keyValid == 0 {
 		return Line{}, false
 	}
-	if counted {
-		c.ctr.Evictions++
-		if c.dirty[vi] {
-			c.ctr.DirtyEvicts++
-		}
+	c.ctr.Evictions++
+	if c.dirty[vi] {
+		c.ctr.DirtyEvicts++
 	}
 	return Line{Addr: c.lineAddrFromTag(keyTag(key)), Pattern: keyPattern(key), Dirty: c.dirty[vi]}, true
 }
@@ -264,44 +272,31 @@ func (c *Cache) evictLine(vi int, counted bool) (Line, bool) {
 // It returns the evicted line, if any. Filling a line that is already
 // present just refreshes it (merging dirtiness).
 func (c *Cache) Fill(a addrmap.Addr, p gsdram.Pattern, dirty bool) (evicted Line, hasEvict bool) {
-	return c.fill(a, p, dirty, true)
-}
-
-// FillNew is Fill for a line the caller has just observed absent — a
-// Lookup miss on (addr, pattern) with no fill of this cache since — so
-// the presence scan is skipped and victim selection starts at once.
-// Filling a line that is actually present would duplicate it; call
-// sites must guarantee absence. It is the counted twin of WarmFillNew.
-func (c *Cache) FillNew(a addrmap.Addr, p gsdram.Pattern, dirty bool) (evicted Line, hasEvict bool) {
-	return c.fillNew(a, p, dirty, true)
-}
-
-// fill is the one body of Fill and WarmFill: refresh a present line,
-// otherwise insert it as fillNew does. counted selects whether the fill
-// and its eviction advance the statistics.
-func (c *Cache) fill(a addrmap.Addr, p gsdram.Pattern, dirty, counted bool) (evicted Line, hasEvict bool) {
 	if i := c.find(a, p); i >= 0 {
 		c.clock++
 		c.stamps[i] = c.clock
 		c.dirty[i] = c.dirty[i] || dirty
 		return Line{}, false
 	}
-	return c.fillNew(a, p, dirty, counted)
+	return c.FillNew(a, p, dirty)
 }
 
-// fillNew is the one body of FillNew and WarmFillNew: insert an absent
-// (addr, pattern) into the set's victim way.
-func (c *Cache) fillNew(a addrmap.Addr, p gsdram.Pattern, dirty, counted bool) (evicted Line, hasEvict bool) {
+// FillNew is Fill for a line the caller has just observed absent — a
+// Lookup miss on (addr, pattern) with no fill of this cache since — so
+// the presence scan is skipped and victim selection starts at once.
+// Filling a line that is actually present would duplicate it; call
+// sites must guarantee absence.
+func (c *Cache) FillNew(a addrmap.Addr, p gsdram.Pattern, dirty bool) (evicted Line, hasEvict bool) {
 	c.clock++
 	if c.tag(a) >= 1<<(64-keyTagShift) {
 		panic(fmt.Sprintf("cache %s: address %#x exceeds the packed-tag range", c.cfg.Name, uint64(a)))
 	}
 	vi := c.victim(c.setIndex(a))
-	evicted, hasEvict = c.evictLine(vi, counted)
+	evicted, hasEvict = c.evictLine(vi)
 	c.keys[vi] = packKey(c.tag(a), p)
 	c.stamps[vi] = c.clock
 	c.dirty[vi] = dirty
-	if counted && p != gsdram.DefaultPattern {
+	if p != gsdram.DefaultPattern {
 		c.ctr.PatternFills++
 	}
 	return evicted, hasEvict
@@ -331,11 +326,14 @@ func (c *Cache) Invalidate(a addrmap.Addr, p gsdram.Pattern) (present, dirty boo
 	return false, false
 }
 
-// CleanLine clears the dirty bit of (addr, pattern) after a writeback.
-func (c *Cache) CleanLine(a addrmap.Addr, p gsdram.Pattern) {
-	if i := c.find(a, p); i >= 0 {
+// CleanLine clears the dirty bit of (addr, pattern) and reports whether
+// the line was present and dirty, so the caller writes it back.
+func (c *Cache) CleanLine(a addrmap.Addr, p gsdram.Pattern) (wasDirty bool) {
+	if i := c.find(a, p); i >= 0 && c.dirty[i] {
 		c.dirty[i] = false
+		return true
 	}
+	return false
 }
 
 // Lines returns a snapshot of every resident line, sorted by (address,

@@ -7,12 +7,13 @@ import (
 
 // Functional executes instruction streams architecturally, with zero
 // simulated time, against a *detailed* memory hierarchy: every memory op
-// becomes a memsys.WarmAccess, so cache tags, LRU order, the pattern
-// coherence invariants and the prefetcher/promotion tables keep evolving
-// exactly as the detailed path would move them — while no events run and
-// no cycles pass. It is the fast-forward engine of sampled simulation
-// (internal/sample): between measurement windows the op stream flows
-// through Exec instead of a cpu.Core.
+// becomes a memsys.WarmAccess, which runs the detailed access path
+// itself, so cache tags, LRU order, the pattern coherence invariants and
+// the prefetcher/promotion tables keep evolving exactly as detailed
+// execution moves them — while no events run and no cycles pass. It is
+// the fast-forward engine of sampled simulation (internal/sample):
+// between measurement windows the op stream flows through Exec instead
+// of a cpu.Core.
 //
 // Instruction accounting matches cpu.Core exactly — a compute block of n
 // cycles retires n instructions, every memory op retires one — so CPI

@@ -204,7 +204,7 @@ func TestOverlapLinesMatchesBruteForce(t *testing.T) {
 	for patt := 1; patt <= int(p.MaxPattern()); patt++ {
 		for col := 0; col < 16; col++ {
 			line := spec.Compose(addrmap.Loc{Bank: 2, Row: 7, Col: col})
-			got, other := h.s.overlapLines(line, Access{Pattern: gsdram.Pattern(patt)})
+			got, other := h.s.overlapLines(line, &Access{Pattern: gsdram.Pattern(patt)})
 			if other != gsdram.DefaultPattern {
 				t.Fatalf("other pattern = %d, want 0", other)
 			}
@@ -246,11 +246,11 @@ func TestOverlapSymmetric(t *testing.T) {
 	h := newHarness(t, 1, nil)
 	spec := h.s.cfg.Mem.Spec
 	line := spec.Compose(addrmap.Loc{Bank: 1, Row: 3, Col: 12})
-	fromDefault, other := h.s.overlapLines(line, Access{Pattern: 0, AltPattern: 7})
+	fromDefault, other := h.s.overlapLines(line, &Access{Pattern: 0, AltPattern: 7})
 	if other != 7 {
 		t.Fatalf("other = %d, want 7", other)
 	}
-	fromPattern, _ := h.s.overlapLines(line, Access{Pattern: 7})
+	fromPattern, _ := h.s.overlapLines(line, &Access{Pattern: 7})
 	if len(fromDefault) != len(fromPattern) {
 		t.Fatalf("asymmetric overlap: %d vs %d", len(fromDefault), len(fromPattern))
 	}

@@ -225,6 +225,7 @@ type waiter struct {
 type mshrEntry struct {
 	waiters    []waiter
 	prefetched bool // entry created by a prefetch
+	core       int  // the core whose access allocated the entry
 
 	// key/line/patt/acc parameterise the entry's two persistent closures
 	// below, so the miss path schedules and enqueues without allocating.
@@ -276,8 +277,8 @@ type System struct {
 	prefetched hashtab.Table[struct{}]
 	// keyShift converts a line address to the line number lineKey packs.
 	keyShift uint
-	// pfBuf is the reusable candidate buffer train and warmTrain pass to
-	// the prefetcher, so a confident training does not allocate.
+	// pfBuf is the reusable candidate buffer train passes to the
+	// prefetcher, so a confident training does not allocate.
 	pfBuf []prefetch.Candidate
 
 	// overlapBuf is the reusable result buffer of overlapLines. The slice
@@ -286,18 +287,22 @@ type System struct {
 	// access (the simulation is single-threaded per System).
 	overlapBuf []addrmap.Addr
 
-	// warmInvMemo remembers the line of the functional fast-forward's
-	// most recent store-side overlap invalidation whose other pattern was
-	// non-default. Transactions store to several fields of one tuple —
-	// the same cache line — back to back, and after the first drop no
-	// (overlap, pattern) line exists, so repeating the drop is a no-op.
-	// The memo is conservatively cleared by anything that could
-	// reintroduce a non-default-pattern line (any warm or detailed fill
-	// of one); clearing it never changes state, only costs the
-	// redundant probe. warmInvMemoOK gates it.
-	warmInvMemo     addrmap.Addr
-	warmInvMemoPatt gsdram.Pattern
-	warmInvMemoOK   bool
+	// invMemo remembers the line of the most recent store-side overlap
+	// invalidation whose other pattern was non-default. Transactions
+	// store to several fields of one tuple — the same cache line — back
+	// to back, and after the first drop no (overlap, pattern) line exists
+	// until a line of that pattern is filled again, so repeating the
+	// drop is a no-op. fillL1 and fillL2 clear invMemoOK, which gates the
+	// memo, on every non-default-pattern fill.
+	invMemo     addrmap.Addr
+	invMemoPatt gsdram.Pattern
+	invMemoOK   bool
+
+	// warm is set while WarmAccess or WarmAccessV runs: the access takes
+	// no simulated time and makes no traffic, so a miss completes in
+	// place, prefetch candidates fill the L2 directly, and writebacks are
+	// dropped (the data already lives in the machine).
+	warm bool
 
 	// lat is the request-lifecycle attribution recorder, created only
 	// when the system is built with a metrics registry; nil otherwise
@@ -513,12 +518,18 @@ func (s *System) lineOf(a addrmap.Addr) addrmap.Addr {
 // both cases, so a hit behaves identically whether the caller resumes
 // inline or through the queue.
 func (s *System) Access(now sim.Cycle, a Access, onDone func(now sim.Cycle)) (done sim.Cycle, hit bool) {
+	return s.access(now, &a, onDone)
+}
+
+// access is Access on a pointer. WarmAccess and the helpers below share
+// the caller's Access instead of a copy: Go passes a struct this large
+// on the stack, and a block copy of one just stored field by field
+// stalls on store forwarding, which measured about 14% of the
+// fast-forward's time.
+func (s *System) access(now sim.Cycle, a *Access, onDone func(now sim.Cycle)) (done sim.Cycle, hit bool) {
 	if a.Core < 0 || a.Core >= len(s.l1) {
 		panic(fmt.Sprintf("memsys: core %d out of range", a.Core))
 	}
-	// Detailed execution can (re)fill non-default-pattern lines, so the
-	// fast-forward's overlap-invalidation memo is stale from here on.
-	s.warmInvMemoOK = false
 	s.ctr.Accesses++
 	if a.Write {
 		s.ctr.Stores++
@@ -562,7 +573,9 @@ func (s *System) Access(now sim.Cycle, a Access, onDone func(now sim.Cycle)) (do
 
 	// A dirty copy may live in another core's L1 (shared-table HTAP):
 	// pull it into L2 first.
-	s.probeOtherL1s(now, a.Core, line, a.Pattern)
+	if len(s.l1) > 1 {
+		s.probeOtherL1s(now, a.Core, line, a.Pattern)
+	}
 
 	t2 := t1 + s.cfg.L2Latency
 	key := s.lineKey(line, a.Pattern)
@@ -584,6 +597,17 @@ func (s *System) Access(now sim.Cycle, a Access, onDone func(now sim.Cycle)) (do
 		return t2, true
 	}
 	s.ctr.L2Misses++
+	if s.warm {
+		// The miss completes in place: the fetch's overlap flush, then
+		// the fills. The flush only cleans lines, so neither level holds
+		// the line yet and both fills skip the presence scan.
+		if a.Shuffled {
+			s.flushOverlaps(now, line, a)
+		}
+		s.fillL2(line, a.Pattern, false, true)
+		s.fillL1(a.Core, line, a.Pattern, a.Write, true)
+		return t2, true
+	}
 
 	extra := sim.Cycle(0)
 	if a.Shuffled {
@@ -600,7 +624,7 @@ func (s *System) Access(now sim.Cycle, a Access, onDone func(now sim.Cycle)) (do
 		return 0, false
 	}
 	e := s.newMSHR()
-	e.key, e.line, e.patt, e.acc = key, line, a.Pattern, a
+	e.key, e.line, e.patt, e.acc, e.core = key, line, a.Pattern, *a, a.Core
 	e.lat = latency.ReqLat{MSHRAlloc: now}
 	e.waiters = append(e.waiters, w)
 	s.mshrs.Put(key, e)
@@ -615,13 +639,19 @@ func (s *System) Access(now sim.Cycle, a Access, onDone func(now sim.Cycle)) (do
 // training context includes the core ID: hardware prefetchers train
 // per hardware thread, and two cores running the same code must not
 // thrash each other's table entries.
-func (s *System) train(now sim.Cycle, a Access, line addrmap.Addr) {
+func (s *System) train(now sim.Cycle, a *Access, line addrmap.Addr) {
 	pc := a.PC ^ uint64(a.Core)<<56
 	s.pfBuf = s.pf.Observe(s.pfBuf[:0], pc, line, a.Pattern)
 	for _, cand := range s.pfBuf {
 		cl := s.lineOf(cand.Addr)
-		// The capacity check comes first so that every key formed is in
-		// lineKey's range; the three checks have no side effects.
+		// A confident stream finds most candidates in the L2 already, so
+		// the probe comes first. The capacity check precedes lineKey, so
+		// every key formed is in its range; a probe beyond the capacity
+		// can only skip the candidate, as the check would. None of the
+		// checks has side effects.
+		if present, _ := s.l2.Probe(cl, cand.Pattern); present {
+			continue
+		}
 		if uint64(cl) >= s.cfg.Mem.Spec.Capacity() {
 			continue
 		}
@@ -629,12 +659,14 @@ func (s *System) train(now sim.Cycle, a Access, line addrmap.Addr) {
 		if _, pending := s.mshrs.Get(key); pending {
 			continue
 		}
-		if present, _ := s.l2.Probe(cl, cand.Pattern); present {
+		if s.warm {
+			s.fillL2(cl, cand.Pattern, false, true)
+			s.prefetched.Put(key, struct{}{})
 			continue
 		}
 		e := s.newMSHR()
 		e.prefetched = true
-		e.key, e.line, e.patt = key, cl, cand.Pattern
+		e.key, e.line, e.patt, e.core = key, cl, cand.Pattern, a.Core
 		e.lat = latency.ReqLat{MSHRAlloc: now}
 		s.mshrs.Put(key, e)
 		s.ctr.MSHROccupancy.Observe(uint64(s.mshrs.Len()))
@@ -657,7 +689,7 @@ func (s *System) enqueueFetch(now sim.Cycle, line addrmap.Addr, patt gsdram.Patt
 	// last donor burst arrives. Once the controller commits to a gather
 	// it fetches every donor, so donors are never dropped mid-gather.
 	if s.cfg.Gather == GatherAtController && patt != gsdram.DefaultPattern {
-		donors, _ := s.overlapLines(line, Access{Pattern: patt})
+		donors, _ := s.overlapLines(line, &Access{Pattern: patt})
 		remaining := len(donors)
 		key := e.key
 		for _, da := range donors {
@@ -694,7 +726,7 @@ func (s *System) enqueueFetch(now sim.Cycle, line addrmap.Addr, patt gsdram.Patt
 // lines of the other pattern first (paper §4.1).
 func (s *System) fetch(now sim.Cycle, e *mshrEntry) {
 	if e.acc.Shuffled {
-		s.flushOverlaps(now, e.line, e.acc)
+		s.flushOverlaps(now, e.line, &e.acc)
 	}
 	s.ctr.DRAMReads++
 	s.enqueueFetch(now, e.line, e.acc.Pattern, false, e)
@@ -707,8 +739,8 @@ func (s *System) finishFetch(now sim.Cycle, key uint64) {
 	if !ok {
 		return
 	}
-	s.cfg.Log.MSHR(now, flight.KindMSHRFree, e.acc.Core, uint64(e.line), e.patt, len(e.waiters))
-	s.fillL2(e.line, e.patt, false)
+	s.cfg.Log.MSHR(now, flight.KindMSHRFree, e.core, uint64(e.line), e.patt, len(e.waiters))
+	s.fillL2(e.line, e.patt, false, false)
 	if e.prefetched && len(e.waiters) == 0 {
 		s.prefetched.Put(key, struct{}{})
 	}
@@ -732,7 +764,12 @@ func (s *System) finishFetch(now sim.Cycle, key uint64) {
 // reports that the caller saw the line miss in that L1 with nothing
 // filling it since, so the fill skips the presence scan (cache.FillNew).
 func (s *System) fillL1(core int, line addrmap.Addr, p gsdram.Pattern, dirty, missed bool) {
-	s.cfg.Log.CacheLine(s.q.Now(), flight.KindFill, core, 1, uint64(line), p)
+	if p != gsdram.DefaultPattern {
+		s.invMemoOK = false
+	}
+	if s.cfg.Log != nil { // CacheLine does not inline; fills are hot
+		s.cfg.Log.CacheLine(s.q.Now(), flight.KindFill, core, 1, uint64(line), p)
+	}
 	var ev cache.Line
 	var has bool
 	if missed {
@@ -742,15 +779,27 @@ func (s *System) fillL1(core int, line addrmap.Addr, p gsdram.Pattern, dirty, mi
 	}
 	if has && ev.Dirty {
 		// Dirty L1 victim falls into the L2.
-		s.fillL2(ev.Addr, ev.Pattern, true)
+		s.fillL2(ev.Addr, ev.Pattern, true, false)
 	}
 }
 
 // fillL2 inserts a line into the L2, writing back its dirty victim.
-func (s *System) fillL2(line addrmap.Addr, p gsdram.Pattern, dirty bool) {
-	s.cfg.Log.CacheLine(s.q.Now(), flight.KindFill, -1, 2, uint64(line), p)
-	ev, has := s.l2.Fill(line, p, dirty)
-	if has {
+// missed is as for fillL1.
+func (s *System) fillL2(line addrmap.Addr, p gsdram.Pattern, dirty, missed bool) {
+	if p != gsdram.DefaultPattern {
+		s.invMemoOK = false
+	}
+	if s.cfg.Log != nil {
+		s.cfg.Log.CacheLine(s.q.Now(), flight.KindFill, -1, 2, uint64(line), p)
+	}
+	var ev cache.Line
+	var has bool
+	if missed {
+		ev, has = s.l2.FillNew(line, p, dirty)
+	} else {
+		ev, has = s.l2.Fill(line, p, dirty)
+	}
+	if has && s.prefetched.Len() != 0 {
 		s.prefetched.Del(s.lineKey(ev.Addr, ev.Pattern))
 	}
 	if has && ev.Dirty {
@@ -758,8 +807,11 @@ func (s *System) fillL2(line addrmap.Addr, p gsdram.Pattern, dirty bool) {
 	}
 }
 
-// writeback posts a write to the controller.
+// writeback posts a write to the controller; a warm access drops it.
 func (s *System) writeback(line addrmap.Addr, p gsdram.Pattern) {
+	if s.warm {
+		return
+	}
 	s.ctr.Writebacks++
 	s.cfg.Log.CacheLine(s.q.Now(), flight.KindWriteback, -1, 2, uint64(line), p)
 	req := s.ctrl.NewRequest()
@@ -778,7 +830,7 @@ func (s *System) probeOtherL1s(now sim.Cycle, core int, line addrmap.Addr, p gsd
 		}
 		if present, dirty := l1.Probe(line, p); present && dirty {
 			l1.Invalidate(line, p)
-			s.fillL2(line, p, true)
+			s.fillL2(line, p, true, false)
 			s.ctr.CrossCoreProbe++
 			s.cfg.Log.Coherence(now, flight.KindCrossProbe, i, uint64(line), p)
 		}
@@ -789,7 +841,7 @@ func (s *System) probeOtherL1s(now sim.Cycle, core int, line addrmap.Addr, p gsd
 // words with (line, pattern) — the at-most-c columns {(k AND nz) XOR C}
 // within the same DRAM row, where nz is the non-zero pattern of the pair
 // (paper §4.1).
-func (s *System) overlapLines(line addrmap.Addr, a Access) (addrs []addrmap.Addr, other gsdram.Pattern) {
+func (s *System) overlapLines(line addrmap.Addr, a *Access) (addrs []addrmap.Addr, other gsdram.Pattern) {
 	var nz gsdram.Pattern
 	if a.Pattern == gsdram.DefaultPattern {
 		if a.AltPattern == gsdram.DefaultPattern {
@@ -826,39 +878,42 @@ func (s *System) overlapLines(line addrmap.Addr, a Access) (addrs []addrmap.Addr
 	return addrs, other
 }
 
-// allCaches returns every cache in the hierarchy (L1s then L2).
-func (s *System) allCaches() []*cache.Cache { return s.caches }
-
 // flushOverlaps writes back dirty other-pattern lines overlapping a fetch.
-func (s *System) flushOverlaps(now sim.Cycle, line addrmap.Addr, a Access) {
+func (s *System) flushOverlaps(now sim.Cycle, line addrmap.Addr, a *Access) {
 	addrs, other := s.overlapLines(line, a)
 	for _, oa := range addrs {
-		for _, c := range s.allCaches() {
-			if present, dirty := c.Probe(oa, other); present && dirty {
+		for _, c := range s.caches {
+			if c.CleanLine(oa, other) {
 				s.ctr.OverlapFlushes++
 				s.cfg.Log.Coherence(now, flight.KindOverlapFlush, a.Core, uint64(oa), other)
 				s.writeback(oa, other)
-				c.CleanLine(oa, other)
 			}
 		}
 	}
 }
 
 // invalidateOverlaps drops other-pattern lines overlapping a store, writing
-// back dirty ones first.
-func (s *System) invalidateOverlaps(line addrmap.Addr, a Access) {
+// back dirty ones first. A repeat of the last store whose other pattern
+// is non-default has nothing to drop and returns at once (see invMemo).
+func (s *System) invalidateOverlaps(line addrmap.Addr, a *Access) {
+	memo := a.Pattern == gsdram.DefaultPattern && a.AltPattern != gsdram.DefaultPattern
+	if memo && s.invMemoOK && s.invMemo == line && s.invMemoPatt == a.AltPattern {
+		return
+	}
 	addrs, other := s.overlapLines(line, a)
 	for _, oa := range addrs {
-		for _, c := range s.allCaches() {
-			if present, dirty := c.Probe(oa, other); present {
+		for _, c := range s.caches {
+			if present, dirty := c.Invalidate(oa, other); present {
 				if dirty {
 					s.writeback(oa, other)
 				}
-				c.Invalidate(oa, other)
 				s.ctr.OverlapInvals++
 				s.cfg.Log.Coherence(s.q.Now(), flight.KindOverlapInval, a.Core, uint64(oa), other)
 			}
 		}
+	}
+	if memo {
+		s.invMemo, s.invMemoPatt, s.invMemoOK = line, a.AltPattern, true
 	}
 }
 

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"fmt"
 	"testing"
 
 	"gsdram/internal/addrmap"
@@ -41,5 +42,53 @@ func BenchmarkAccessMissBurst(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		burst()
+	}
+}
+
+// BenchmarkWarmAccess measures the functional fast-forward per access,
+// with the prefetcher off and on. One op is one WarmAccess from a fixed
+// pre-generated mix of 65536 accesses: three in four are loads and
+// stores (one in three a store) to random words of a 64 MB shuffled
+// region with alternate pattern 7, so stores drop overlapping gathered
+// lines and misses flush them; the fourth continues a sequential load
+// stream from one PC, which the prefetcher follows. The mix touches
+// 4 MB of lines in a cycle, twice the L2, so nearly every access misses
+// it.
+func BenchmarkWarmAccess(b *testing.B) {
+	const n, wrap = 1 << 16, 64 << 20
+	r := sim.NewRand(1)
+	mix := make([]Access, n)
+	next := addrmap.Addr(wrap)
+	for i := range mix {
+		if i%4 == 0 {
+			mix[i] = Access{Addr: next, PC: 0x40}
+			next += 64
+			continue
+		}
+		mix[i] = Access{
+			Addr:       addrmap.Addr(r.Uint64n(wrap/8) * 8),
+			Write:      r.Intn(3) == 0,
+			PC:         0x80,
+			Shuffled:   true,
+			AltPattern: 7,
+		}
+	}
+	for _, pf := range []bool{false, true} {
+		b.Run(fmt.Sprintf("prefetch=%v", pf), func(b *testing.B) {
+			cfg := DefaultConfig(1)
+			cfg.EnablePrefetch = pf
+			s, err := New(cfg, &sim.EventQueue{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, a := range mix {
+				s.WarmAccess(a) // fill the caches and tables
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.WarmAccess(mix[i%n])
+			}
+		})
 	}
 }

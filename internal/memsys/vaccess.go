@@ -100,9 +100,6 @@ func (s *System) AccessV(now sim.Cycle, a VAccess, onDone func(now sim.Cycle)) (
 	if a.Core < 0 || a.Core >= len(s.l1) {
 		panic(fmt.Sprintf("memsys: core %d out of range", a.Core))
 	}
-	// Indexed coherence can drop or clean non-default-pattern lines, so
-	// the fast-forward's overlap-invalidation memo is stale from here on.
-	s.warmInvMemoOK = false
 	s.ctr.Accesses++
 	if a.Write {
 		s.ctr.Stores++
@@ -122,6 +119,9 @@ func (s *System) AccessV(now sim.Cycle, a VAccess, onDone func(now sim.Cycle)) (
 		if alt != gsdram.DefaultPattern {
 			s.vcohLine(s.gatherLine(ea, alt), alt, a.Write)
 		}
+	}
+	if s.warm {
+		return now, true
 	}
 
 	bursts, err := s.coal.Plan(a.Addrs, a.Shuffled, alt)
@@ -185,22 +185,21 @@ func (s *System) AccessV(now sim.Cycle, a VAccess, onDone func(now sim.Cycle)) (
 // copies are written back (and cleaned), and for scatters any copy is
 // invalidated since DRAM is about to hold newer data.
 func (s *System) vcohLine(la addrmap.Addr, p gsdram.Pattern, write bool) {
-	for _, c := range s.allCaches() {
-		present, dirty := c.Probe(la, p)
-		if !present {
-			continue
+	for _, c := range s.caches {
+		var present, dirty bool
+		if write {
+			present, dirty = c.Invalidate(la, p)
+		} else {
+			dirty = c.CleanLine(la, p)
 		}
 		if dirty {
 			s.ctr.OverlapFlushes++
 			s.cfg.Log.Coherence(s.q.Now(), flight.KindOverlapFlush, -1, uint64(la), p)
 			s.writeback(la, p)
 		}
-		if write {
-			c.Invalidate(la, p)
+		if present {
 			s.ctr.OverlapInvals++
 			s.cfg.Log.Coherence(s.q.Now(), flight.KindOverlapInval, -1, uint64(la), p)
-		} else if dirty {
-			c.CleanLine(la, p)
 		}
 	}
 }
@@ -235,33 +234,4 @@ func (s *System) vburstDone(now sim.Cycle, v *vop) {
 		s.cfg.Log.Request(v.core, v.start, tdone, false, true, int(v.patt), &v.lat)
 	}
 	s.recycleVop(v)
-}
-
-// WarmAccessV applies AccessV's cache-state effects without timing or
-// telemetry — the functional fast-forward twin of AccessV, mirroring it
-// the way WarmAccess mirrors Access. Iteration order matches AccessV
-// exactly so warmed and detailed cache states stay bit-identical.
-func (s *System) WarmAccessV(a VAccess) {
-	s.warmInvMemoOK = false
-	alt := s.vAlt(a)
-	for _, ea := range a.Addrs {
-		s.warmVcohLine(s.lineOf(ea), gsdram.DefaultPattern, a.Write)
-		if alt != gsdram.DefaultPattern {
-			s.warmVcohLine(s.gatherLine(ea, alt), alt, a.Write)
-		}
-	}
-}
-
-// warmVcohLine is vcohLine without writebacks or counters: scatters drop
-// the line, gathers clean it.
-func (s *System) warmVcohLine(la addrmap.Addr, p gsdram.Pattern, write bool) {
-	for _, c := range s.allCaches() {
-		if write {
-			c.WarmInvalidate(la, p)
-			continue
-		}
-		if present, dirty := c.Probe(la, p); present && dirty {
-			c.CleanLine(la, p)
-		}
-	}
 }

@@ -66,6 +66,9 @@ func New(cfg Config) *Prefetcher {
 // Stats returns a snapshot of the counters.
 func (p *Prefetcher) Stats() Stats { return p.stats }
 
+// SetStats puts back counters that Stats returned.
+func (p *Prefetcher) SetStats(s Stats) { p.stats = s }
+
 // Observe trains on a demand access (pc, addr, pattern) and appends the
 // prefetch candidates to issue to dst, returning the extended slice; a
 // caller that reuses one buffer (dst[:0]) trains without allocating.

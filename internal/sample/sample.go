@@ -1,15 +1,17 @@
 // Package sample implements SMARTS-style interval sampling for the
 // event-driven GS-DRAM simulator (DESIGN.md §5.7): execution alternates
 // between functional fast-forward (fastsim.Functional driving
-// memsys.WarmAccess — caches, coherence state and predictor tables keep
-// evolving at zero simulated cost), a detailed warm-up window that
-// re-heats the short-lived microarchitectural state the functional path
-// cannot carry (MSHRs, row buffers, controller queues), and a detailed
-// measurement window whose CPI, memory-latency and energy-per-instruction
-// samples aggregate into a point estimate with a Student-t confidence
-// interval. Window placement within each interval is drawn from a
-// seed-derived PRNG, so a (config, seed) pair reproduces the exact same
-// estimate on any machine at any worker count.
+// memsys.WarmAccess, the detailed access path run in zero time, under
+// memsys.System.Uncounted — caches, coherence state and predictor tables
+// keep evolving at zero simulated cost, and no counter moves), a
+// detailed warm-up window that re-heats the short-lived
+// microarchitectural state the functional path cannot carry (MSHRs, row
+// buffers, controller queues), and a detailed measurement window whose
+// CPI, memory-latency and energy-per-instruction samples aggregate into
+// a point estimate with a Student-t confidence interval. Window
+// placement within each interval is drawn from a seed-derived PRNG, so a
+// (config, seed) pair reproduces the exact same estimate on any machine
+// at any worker count.
 package sample
 
 import (
@@ -351,7 +353,9 @@ func Run(cfg Config, t Target) (*Result, error) {
 	var pending uint64
 	for {
 		off := intervalRand(cfg.Seed, st.interval).Uint64n(slack + 1)
-		if !st.fastForward(f, t.Stream, pending+off) {
+		var more bool
+		t.Mem.Uncounted(func() { more = st.fastForward(f, t.Stream, pending+off) })
+		if !more {
 			break
 		}
 		more, err := st.window(cfg, t)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -65,7 +66,12 @@ func metricsDiff(args []string) error {
 	if err != nil {
 		return err
 	}
+	return metricsDiffFiles(os.Stdout, fs.Arg(0), fs.Arg(1), a, b, *all)
+}
 
+// metricsDiffFiles runs the comparison of two loaded documents named
+// oldPath and newPath; split from metricsDiff for testing.
+func metricsDiffFiles(w io.Writer, oldPath, newPath string, a, b *diffFile, all bool) error {
 	// Index runs by (experiment, label) → flattened metrics.
 	type runKey struct{ exp, label string }
 	index := func(f *diffFile) (map[runKey]map[string]float64, []runKey) {
@@ -84,14 +90,14 @@ func metricsDiff(args []string) error {
 	bm, _ := index(b)
 
 	if len(am) == 0 {
-		return fmt.Errorf("metrics-diff: %s has no telemetry (was it produced with -json by this version?)", fs.Arg(0))
+		return fmt.Errorf("metrics-diff: %s has no telemetry (was it produced with -json by this version?)", oldPath)
 	}
 
 	diffed := 0
 	for _, k := range aOrder {
 		bmet, ok := bm[k]
 		if !ok {
-			fmt.Printf("%s · %s: only in %s\n\n", k.exp, k.label, fs.Arg(0))
+			fmt.Fprintf(w, "%s · %s: only in %s\n\n", k.exp, k.label, oldPath)
 			continue
 		}
 		amet := am[k]
@@ -123,7 +129,7 @@ func metricsDiff(args []string) error {
 				rows++
 				continue
 			}
-			if av == bv && !*all {
+			if av == bv && !all {
 				continue
 			}
 			ratio := "-"
@@ -134,18 +140,18 @@ func metricsDiff(args []string) error {
 			rows++
 		}
 		if rows > 0 {
-			fmt.Println(t)
-			fmt.Println()
+			fmt.Fprintln(w, t)
+			fmt.Fprintln(w)
 			diffed += rows
 		}
 	}
 	for k := range bm {
 		if _, ok := am[k]; !ok {
-			fmt.Printf("%s · %s: only in %s\n\n", k.exp, k.label, fs.Arg(1))
+			fmt.Fprintf(w, "%s · %s: only in %s\n\n", k.exp, k.label, newPath)
 		}
 	}
 	if diffed == 0 {
-		fmt.Println("metrics-diff: no differing metrics")
+		fmt.Fprintln(w, "metrics-diff: no differing metrics")
 	}
 	return nil
 }
@@ -155,6 +161,11 @@ func loadDiffFile(path string) (*diffFile, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeDiffFile(path, blob)
+}
+
+// decodeDiffFile decodes a run document read from path.
+func decodeDiffFile(path string, blob []byte) (*diffFile, error) {
 	var f diffFile
 	if err := json.Unmarshal(blob, &f); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)

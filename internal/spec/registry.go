@@ -19,6 +19,27 @@ type entry struct {
 	run  runnerFunc
 }
 
+// fig9Entry and fig10Entry are named because they are fig12's inputs:
+// each holds its untelemetered result for fig12 to reuse.
+var (
+	fig9Entry = entry{"fig9", func(s *Spec, opts bench.Options) (any, any, []*stats.Table, error) {
+		r, err := bench.RunFig9(opts)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		hold(s, opts, r)
+		return r, fig9Summary(r), []*stats.Table{r.Table()}, nil
+	}}
+	fig10Entry = entry{"fig10", func(s *Spec, opts bench.Options) (any, any, []*stats.Table, error) {
+		r, err := bench.RunFig10(opts)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		hold(s, opts, r)
+		return r, fig10Summary(r), []*stats.Table{r.Table()}, nil
+	}}
+)
+
 // registry is the full experiment registry in the fixed execution order
 // shared by every gsbench mode (it was extracted verbatim from
 // cmd/gsbench so the CLI and the farm construct identical rigs).
@@ -33,13 +54,7 @@ var registry = []entry{
 		ts := []*stats.Table{t1, t2}
 		return ts, nil, ts, nil
 	}},
-	{"fig9", func(_ *Spec, opts bench.Options) (any, any, []*stats.Table, error) {
-		r, err := bench.RunFig9(opts)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return r, fig9Summary(r), []*stats.Table{r.Table()}, nil
-	}},
+	fig9Entry,
 	{"fig9sampled", func(s *Spec, opts bench.Options) (any, any, []*stats.Table, error) {
 		// Always sampled: a spec without a sampling section runs the
 		// defaults the gsbench -sample-* flags carry.
@@ -53,13 +68,7 @@ var registry = []entry{
 		}
 		return r, fig9SampledSummary(r), []*stats.Table{r.SampledTable()}, nil
 	}},
-	{"fig10", func(_ *Spec, opts bench.Options) (any, any, []*stats.Table, error) {
-		r, err := bench.RunFig10(opts)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return r, fig10Summary(r), []*stats.Table{r.Table()}, nil
-	}},
+	fig10Entry,
 	{"fig11", func(_ *Spec, opts bench.Options) (any, any, []*stats.Table, error) {
 		r, err := bench.RunFig11(opts)
 		if err != nil {
@@ -67,11 +76,18 @@ var registry = []entry{
 		}
 		return r, nil, []*stats.Table{r.AnalyticsTable(), r.ThroughputTable()}, nil
 	}},
-	{"fig12", func(_ *Spec, opts bench.Options) (any, any, []*stats.Table, error) {
-		r, err := bench.RunFig12(opts)
+	{"fig12", func(s *Spec, opts bench.Options) (any, any, []*stats.Table, error) {
+		// Figure 12 summarises the fig9 and fig10 runs of the same
+		// knobs; in one process they are usually already held.
+		f9, err := input[*bench.Fig9Result](s, opts, fig9Entry)
 		if err != nil {
 			return nil, nil, nil, err
 		}
+		f10, err := input[*bench.Fig10Result](s, opts, fig10Entry)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		r := &bench.Fig12Result{Fig9: f9, Fig10: f10}
 		return r, nil, []*stats.Table{r.PerfTable(), r.EnergyTable(), r.EnergyBreakdownTable()}, nil
 	}},
 	{"fig13", func(_ *Spec, opts bench.Options) (any, any, []*stats.Table, error) {

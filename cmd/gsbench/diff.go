@@ -164,11 +164,23 @@ func loadDiffFile(path string) (*diffFile, error) {
 	return decodeDiffFile(path, blob)
 }
 
-// decodeDiffFile decodes a run document read from path.
+// decodeDiffFile decodes a run document read from path. Every analysis
+// pairs runs by (experiment, label), so a document that repeats one is
+// an error.
 func decodeDiffFile(path string, blob []byte) (*diffFile, error) {
 	var f diffFile
 	if err := json.Unmarshal(blob, &f); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	seen := map[[2]string]bool{}
+	for _, e := range f.Experiments {
+		for _, t := range e.Telemetry {
+			k := [2]string{e.Experiment, t.Label}
+			if seen[k] {
+				return nil, fmt.Errorf("%s: run %s · %s appears twice", path, e.Experiment, t.Label)
+			}
+			seen[k] = true
+		}
 	}
 	return &f, nil
 }
@@ -176,7 +188,9 @@ func decodeDiffFile(path string, blob []byte) (*diffFile, error) {
 // flattenMetrics turns the exported metrics map into name → float64:
 // scalar metrics pass through; histograms expand to
 // .count/.sum/.mean/.p50/.p99 (percentiles recomputed from the exported
-// power-of-2 buckets, matching metrics.Histogram.Quantile).
+// power-of-2 buckets, matching metrics.Histogram.Quantile). A name the
+// document holds itself is never overwritten by an expansion, so the
+// result does not depend on map order.
 func flattenMetrics(raw map[string]json.RawMessage) map[string]float64 {
 	out := make(map[string]float64, len(raw))
 	for name, blob := range raw {
@@ -191,14 +205,20 @@ func flattenMetrics(raw map[string]json.RawMessage) map[string]float64 {
 			Mean    float64           `json:"mean"`
 			Buckets map[string]uint64 `json:"buckets"`
 		}
-		if err := json.Unmarshal(blob, &h); err == nil {
-			out[name+".count"] = h.Count
-			out[name+".sum"] = h.Sum
-			out[name+".mean"] = h.Mean
-			if len(h.Buckets) > 0 {
-				out[name+".p50"] = bucketQuantile(h.Buckets, 0.50)
-				out[name+".p99"] = bucketQuantile(h.Buckets, 0.99)
+		if err := json.Unmarshal(blob, &h); err != nil {
+			continue
+		}
+		expand := func(suffix string, v float64) {
+			if _, named := raw[name+suffix]; !named {
+				out[name+suffix] = v
 			}
+		}
+		expand(".count", h.Count)
+		expand(".sum", h.Sum)
+		expand(".mean", h.Mean)
+		if len(h.Buckets) > 0 {
+			expand(".p50", bucketQuantile(h.Buckets, 0.50))
+			expand(".p99", bucketQuantile(h.Buckets, 0.99))
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -27,12 +28,18 @@ const fuzzDocNew = `{"manifest":{"seed":42,"workers":1,"params":{"exp":"fig9"}},
 // analysis that reads them: explain and its report, bench-gate with
 // -explain, and metrics-diff. No input may panic. The number of runs
 // explain diagnoses is checked against a direct count of the old runs
-// whose (experiment, label) the new document also holds.
+// whose (experiment, label) the new document also holds, and each
+// document is compared with itself, where every analysis has a known
+// answer (checkSelfDiff).
 func FuzzDiffDocuments(f *testing.F) {
 	f.Add([]byte(fuzzDocOld), []byte(fuzzDocNew))
 	f.Add([]byte(fuzzDocNew), []byte(fuzzDocOld))
 	f.Add([]byte(fuzzDocOld), []byte(`{"experiments":[{"experiment":"fig9","telemetry":[{"label":"fig9/GS-DRAM/1-0-1","end_cycle":0,"latency":{"core_stalls":[]}}]}]}`))
-	f.Add([]byte(`{"experiments":[{"telemetry":[{"series":{"epochs":[]}},{"series":{}}]}]}`), []byte(`{"experiments":[{"telemetry":[{},{}]}]}`))
+	f.Add([]byte(`{"experiments":[{"telemetry":[{"label":"a","series":{"epochs":[]}},{"label":"b","series":{}}]}]}`), []byte(`{"experiments":[{"telemetry":[{"label":"a"},{"label":"b"}]}]}`))
+	// A run that appears twice, and a scalar named like a histogram's
+	// expansion.
+	f.Add([]byte(`{"experiments":[{"telemetry":[{"label":"a","end_cycle":1000},{"label":"a","end_cycle":2000}]}]}`), []byte(`{}`))
+	f.Add([]byte(`{"experiments":[{"telemetry":[{"metrics":{"lat.sum":71,"lat":{}}}]}]}`), []byte(`{}`))
 	f.Fuzz(func(t *testing.T, oldDoc, newDoc []byte) {
 		oldF, err := decodeDiffFile("old.json", oldDoc)
 		if err != nil {
@@ -61,7 +68,45 @@ func FuzzDiffDocuments(f *testing.F) {
 		}
 		_ = gateFiles(io.Discard, gateArgs{old: "old.json", new: "new.json", explain: true}, oldF, newF)
 		_ = metricsDiffFiles(io.Discard, "old.json", "new.json", oldF, newF, true)
+		checkSelfDiff(t, oldF)
+		checkSelfDiff(t, newF)
 	})
+}
+
+// checkSelfDiff runs the analyses on a document against itself:
+// metrics-diff must find no differing metric, bench-gate at -tol 0 must
+// pass, and every run explain diagnoses must have a zero delta. A
+// document without telemetry runs must make metrics-diff and bench-gate
+// say so.
+func checkSelfDiff(t *testing.T, f *diffFile) {
+	t.Helper()
+	runs := 0
+	for _, e := range f.Experiments {
+		runs += len(e.Telemetry)
+	}
+	var out strings.Builder
+	err := metricsDiffFiles(&out, "doc.json", "doc.json", f, f, false)
+	if runs == 0 && err == nil || runs > 0 && (err != nil || out.String() != "metrics-diff: no differing metrics\n") {
+		t.Fatalf("metrics-diff of a document with %d runs against itself: error %v, output\n%s", runs, err, out.String())
+	}
+	err = gateFiles(io.Discard, gateArgs{old: "doc.json", new: "doc.json"}, f, f)
+	if runs > 0 && err != nil || runs == 0 && (err == nil || !strings.Contains(err.Error(), "no telemetry runs")) {
+		t.Fatalf("bench-gate -tol 0 of a document with %d runs against itself: %v", runs, err)
+	}
+	v, err := explainDocs("doc.json", "doc.json", f, f)
+	if err != nil {
+		return
+	}
+	for _, r := range v.Runs {
+		if r.DeltaCycles != 0 || r.DeltaCoreCycles != 0 {
+			t.Fatalf("explain of a document against itself: %s · %s moved %d cycles", r.Experiment, r.Label, r.DeltaCycles)
+		}
+		for _, s := range r.Stages {
+			if s.Delta != 0 {
+				t.Fatalf("explain of a document against itself: %s · %s stage %s moved %d cycles", r.Experiment, r.Label, s.Stage, s.Delta)
+			}
+		}
+	}
 }
 
 // holdsRun reports whether f has a telemetry run labelled label under

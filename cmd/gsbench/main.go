@@ -11,7 +11,7 @@
 //	        [-sample] [-sample-interval N] [-sample-warmup N]
 //	        [-sample-measure N] [-sample-seed S]
 //	        [-json FILE] [-trace-out FILE] [-prom-out FILE] [-epoch N]
-//	        [-flight-out FILE] [-flight-depth N] [-l2-latency N]
+//	        [-flight-out FILE] [-l2-latency N]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //	gsbench latency [-exp fig9] [workload flags]
 //	gsbench sample-validate [-min-speedup X] [-max-error PCT] [-json FILE]
@@ -20,8 +20,7 @@
 //	gsbench bench-gate [-tol PCT] [-explain] OLD.json NEW.json
 //	gsbench explain [-top N] [-json FILE] OLD.json NEW.json
 //	gsbench stress [-seed S] [-count N] [-shrink] [-workers N] [-noinline]
-//	        [-xmodes] [-indexed] [-pseed P]
-//	        [-inject none|shuffle-swap|index-perm] [-repro-out FILE]
+//	        [-xmodes] [-indexed] [-pseed P] [-repro-out FILE]
 //	gsbench serve [-addr HOST:PORT] [-cache-dir DIR] [-farm-workers N]
 //	        [-flight-dir DIR] [-drain-timeout D]
 //	        [-log-format text|json] [-pprof]
@@ -79,9 +78,8 @@
 // in the rig's event log (DDR commands, cache fills/writebacks,
 // coherence actions, coalescer burst decisions, MSHR traffic, core
 // memory ops) — is dumped to FILE as NDJSON after the experiments
-// complete. -flight-depth sets the per-component tail depth (default
-// 256 events). Recording is observation-only: results are
-// bit-identical with and without it.
+// complete, keeping the last 256 events per component. Recording is
+// observation-only: results are bit-identical with and without it.
 //
 // -l2-latency N overrides the L2 hit latency in cycles (0 = the model
 // default). It is an ablation knob: unlike telemetry it changes
@@ -98,9 +96,9 @@
 // all three execution paths (event-skipping, event-driven and the
 // functional fast-forward that interval sampling relies on). -indexed
 // additionally generates indexed gatherv/scatterv ops (explicit index
-// vectors through the coalescer), and -inject plants a known bug in the
-// simulator side as a self-test of the oracle (index-perm swaps the
-// first two values of every multi-element gatherv).
+// vectors through the coalescer). The oracle's self-test is the mutant
+// catalogue in internal/mutants, which builds gsbench with known bugs
+// planted in the simulator's source.
 //
 // The hashjoin, spmv and ptrchase experiments exercise the indexed
 // gather/scatter path (DESIGN.md §5.10): each compares a scalar
@@ -218,15 +216,14 @@ func main() {
 		flag.PrintDefaults()
 	}
 	var (
-		exp         = flag.String("exp", "all", "experiment to run (or \"all\"); see the registry in -h")
-		jsonOut     = flag.String("json", "", "write the JSON document (manifest, per-experiment records, telemetry) to FILE; \"-\" replaces the text tables on stdout")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event / Perfetto JSON of all telemetered runs to FILE")
-		promOut     = flag.String("prom-out", "", "write the final metrics of all telemetered runs in Prometheus text format to FILE")
-		epoch       = flag.Uint64("epoch", uint64(telemetry.DefaultEpoch), "telemetry sampling interval in CPU cycles")
-		flightOut   = flag.String("flight-out", "", "dump every run's flight-recorder tails (recent microarchitectural events) to FILE as NDJSON")
-		flightDepth = flag.Int("flight-depth", flight.DefaultDepth, "per-component flight-recorder tail depth (events kept per component)")
-		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf     = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		exp       = flag.String("exp", "all", "experiment to run (or \"all\"); see the registry in -h")
+		jsonOut   = flag.String("json", "", "write the JSON document (manifest, per-experiment records, telemetry) to FILE; \"-\" replaces the text tables on stdout")
+		traceOut  = flag.String("trace-out", "", "write a Chrome trace_event / Perfetto JSON of all telemetered runs to FILE")
+		promOut   = flag.String("prom-out", "", "write the final metrics of all telemetered runs in Prometheus text format to FILE")
+		epoch     = flag.Uint64("epoch", uint64(telemetry.DefaultEpoch), "telemetry sampling interval in CPU cycles")
+		flightOut = flag.String("flight-out", "", "dump every run's flight-recorder tails (recent microarchitectural events) to FILE as NDJSON")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -256,12 +253,9 @@ func main() {
 	}
 
 	telemetryOn := *jsonOut != "" || *traceOut != "" || *promOut != "" || *flightOut != ""
-	fdepth := 0
+	run := spec.Run
 	if *flightOut != "" {
-		fdepth = *flightDepth
-		if fdepth <= 0 {
-			fdepth = flight.DefaultDepth
-		}
+		run = spec.RunFlight
 	}
 
 	// Every selected experiment's spec is validated before any runs.
@@ -280,7 +274,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		out, err := spec.RunFlight(sp, fdepth)
+		out, err := run(sp)
 		if err != nil {
 			fatal(err)
 		}

@@ -14,7 +14,16 @@ import (
 // stressCmd implements `gsbench stress`: seeded differential verification
 // of the cycle simulator against the architectural golden model
 // (internal/refmodel), with ddmin shrinking of any failing program.
-func stressCmd(args []string) error {
+func stressCmd(args []string) error { return stressWith(args, stress.Run) }
+
+// cycleRun is a cycle-level differential run of one program, as
+// stress.Run.
+type cycleRun func(stress.Program, stress.Options) (*stress.Result, error)
+
+// stressWith runs `gsbench stress` with cycle as every cycle-level run:
+// the programs', the shrinker's and the flight re-run's. Split from
+// stressCmd for testing.
+func stressWith(args []string, cycle cycleRun) error {
 	fs := flag.NewFlagSet("stress", flag.ExitOnError)
 	var (
 		seed     = fs.Uint64("seed", 1, "base seed; program i uses a seed derived from (base, i)")
@@ -25,7 +34,6 @@ func stressCmd(args []string) error {
 		noInline = fs.Bool("noinline", false, "verify the pure event-driven path instead of the event-skipping one")
 		xmodes   = fs.Bool("xmodes", false, "verify every program on all three execution paths: event-skipping, event-driven and functional (overrides -noinline)")
 		indexed  = fs.Bool("indexed", false, "generate programs with gatherv/scatterv ops (indexed access path)")
-		inject   = fs.String("inject", "none", "deterministic fault to plant in the simulator side: none|shuffle-swap|index-perm (self-test of the oracle)")
 		reproOut = fs.String("repro-out", "", "write the (shrunk) failing program to FILE")
 		verbose  = fs.Bool("v", false, "print one line per program")
 	)
@@ -35,37 +43,22 @@ func stressCmd(args []string) error {
 	if *count <= 0 {
 		return fmt.Errorf("stress: -count must be positive")
 	}
-	var inj stress.Inject
-	switch *inject {
-	case "none":
-		inj = stress.InjectNone
-	case "shuffle-swap":
-		inj = stress.InjectShuffleSwap
-	case "index-perm":
-		inj = stress.InjectIndexPerm
-	default:
-		return fmt.Errorf("stress: unknown -inject %q", *inject)
-	}
-	// A path is the cycle-level stress.Run with opts, or the functional
+	// A path is the cycle-level run with opts, or the functional
 	// fast-forward stress.RunFunctional.
 	type path struct {
 		opts       stress.Options
 		functional bool
 	}
-	paths := []path{{opts: stress.Options{NoInline: *noInline, Inject: inj}}}
+	paths := []path{{opts: stress.Options{NoInline: *noInline}}}
 	if *xmodes {
-		paths = []path{
-			{opts: stress.Options{Inject: inj}},
-			{opts: stress.Options{NoInline: true, Inject: inj}},
-			{functional: true},
-		}
+		paths = []path{{}, {opts: stress.Options{NoInline: true}}, {functional: true}}
 	}
 	run := func(p stress.Program, pa path) (*stress.Result, error) {
 		if pa.functional {
 			res, _, err := stress.RunFunctional(p)
 			return res, err
 		}
-		return stress.Run(p, pa.opts)
+		return cycle(p, pa.opts)
 	}
 	gcfg := stress.GenConfig{Indexed: *indexed}
 
@@ -164,12 +157,6 @@ func stressCmd(args []string) error {
 	if *indexed {
 		mode += " -indexed"
 	}
-	switch f.path.opts.Inject {
-	case stress.InjectShuffleSwap:
-		mode += " -inject shuffle-swap"
-	case stress.InjectIndexPerm:
-		mode += " -inject index-perm"
-	}
 	fmt.Printf("reproduce with: gsbench stress -pseed %d%s\n", f.seed, mode)
 	if *reproOut != "" {
 		if werr := os.WriteFile(*reproOut, []byte(report+"\n"), 0o644); werr != nil {
@@ -182,7 +169,7 @@ func stressCmd(args []string) error {
 		flightPath := *reproOut + ".flight.ndjson"
 		if f.path.functional {
 			fmt.Println("no flight dump: the functional path records no events")
-		} else if werr := writeStressFlight(p, f.path.opts, flightPath); werr != nil {
+		} else if werr := writeStressFlight(p, f.path.opts, cycle, flightPath); werr != nil {
 			fmt.Printf("flight dump failed: %v\n", werr)
 		} else {
 			fmt.Printf("flight dump written to %s\n", flightPath)
@@ -197,10 +184,10 @@ func stressCmd(args []string) error {
 // leading up to the mismatch is easy to pick out of the dump. The
 // re-run is deterministic, so the recorded events are exactly those of
 // the failing run.
-func writeStressFlight(p stress.Program, opts stress.Options, path string) error {
+func writeStressFlight(p stress.Program, opts stress.Options, cycle cycleRun, path string) error {
 	rec := flight.New(0, 0, 0, flight.DefaultDepth)
 	opts.Flight = rec
-	res, err := stress.Run(p, opts)
+	res, err := cycle(p, opts)
 	if err != nil {
 		return err
 	}

@@ -451,7 +451,7 @@ func (e *Engine) dumpFlight(j *Job, i int, p *Point) {
 	defer f.Close()
 	// The re-run is expected to fail again — that is what makes the dump
 	// useful. The NDJSON written before the failure is kept either way.
-	if err := spec.DumpFlight(&p.Spec, 0, f); err != nil {
+	if err := spec.DumpFlight(&p.Spec, f); err != nil {
 		e.logger.Info("flight dump captured failing re-run", "job", j.ID,
 			"point", i, "path", path, "err", err)
 	} else {

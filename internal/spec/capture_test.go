@@ -29,7 +29,7 @@ func TestCaptureDigests(t *testing.T) {
 		s := quickSpec()
 		s.Experiment, s.Txns, s.Workers = exp, 20, 1
 		s.Telemetry, s.Epoch = true, 10_000
-		out, err := RunFlight(s, flight.DefaultDepth)
+		out, err := RunFlight(s)
 		if err != nil {
 			t.Fatal(err)
 		}

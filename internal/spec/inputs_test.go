@@ -166,7 +166,7 @@ func TestTelemeteredFig12RunsItsInputs(t *testing.T) {
 	// A flight dump re-runs everything as well: its runs are fig9's and
 	// fig10's.
 	var dump bytes.Buffer
-	if err := DumpFlight(specFor("fig12"), 0, &dump); err != nil {
+	if err := DumpFlight(specFor("fig12"), &dump); err != nil {
 		t.Fatalf("dump flight: %v", err)
 	}
 	for _, label := range want {

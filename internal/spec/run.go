@@ -36,32 +36,46 @@ type Outcome struct {
 // the CLI would for the equivalent flags. It is safe for concurrent use:
 // every knob of the spec, NoInline and L2Latency included, travels in
 // the batch's bench.Options, so concurrent specs share no switch.
-func Run(s *Spec) (*Outcome, error) { return RunFlight(s, 0) }
+func Run(s *Spec) (*Outcome, error) { return execute(s, false) }
 
-// RunFlight is Run with a flight recorder armed on every rig at the
-// given per-component ring depth (0 runs without flight). Flight rides
-// the telemetry capture context, so a depth > 0 forces telemetry on;
-// recording is pinned bit-identical, so the results are unchanged.
-func RunFlight(s *Spec, flightDepth int) (*Outcome, error) {
+// RunFlight is Run with a flight recorder armed on every rig at
+// flight.DefaultDepth. Flight rides the telemetry capture context, so
+// it forces telemetry on; recording is pinned bit-identical, so the
+// results are unchanged.
+func RunFlight(s *Spec) (*Outcome, error) { return execute(s, true) }
+
+// prepare normalizes and validates s and resolves it into the runner's
+// options, with a capture when the spec is telemetered. armed forces
+// telemetry on (at the default epoch unless one is set) and arms the
+// capture's flight recording at flight.DefaultDepth.
+func prepare(s *Spec, armed bool) (*Spec, bench.Options, error) {
 	s = s.Normalized()
+	if armed {
+		s.Telemetry = true
+		if s.Epoch == 0 {
+			s.Epoch = uint64(telemetry.DefaultEpoch)
+		}
+	}
 	if err := s.Validate(); err != nil {
+		return nil, bench.Options{}, err
+	}
+	opts := s.BenchOptions()
+	if s.Telemetry {
+		opts.Capture = bench.NewCapture(s.Epoch)
+		if armed {
+			opts.Capture.SetFlightDepth(flight.DefaultDepth)
+		}
+	}
+	return s, opts, nil
+}
+
+// execute is Run, and RunFlight when armed.
+func execute(s *Spec, armed bool) (*Outcome, error) {
+	s, opts, err := prepare(s, armed)
+	if err != nil {
 		return nil, err
 	}
-	if flightDepth > 0 && !s.Telemetry {
-		s.Telemetry = true
-		s.Epoch = uint64(telemetry.DefaultEpoch)
-	}
 	run, _ := lookup(s.Experiment) // Validate checked membership
-	opts := s.BenchOptions()
-	var capture *bench.Capture
-	if s.Telemetry {
-		capture = bench.NewCapture(s.Epoch)
-		if flightDepth > 0 {
-			capture.SetFlightDepth(flightDepth)
-		}
-		opts.Capture = capture
-	}
-
 	start := time.Now()
 	result, summary, tables, err := run(s, opts)
 	wall := time.Since(start)
@@ -76,52 +90,40 @@ func RunFlight(s *Spec, flightDepth int) (*Outcome, error) {
 		Tables:  tables,
 		Sampled: sampledEntries(result),
 	}
-	if s.Telemetry {
-		out.Runs = capture.Drain()
+	if c := opts.Capture; c != nil {
+		out.Runs = c.Drain()
 		for _, r := range out.Runs {
 			out.Telemetry = append(out.Telemetry, NewTelemetryEntry(r))
 		}
-		if flightDepth > 0 {
-			out.Flight = capture.FlightRecorders()
+		if armed {
+			out.Flight = c.FlightRecorders()
 		}
 	}
 	return out, nil
 }
 
-// DumpFlight re-executes a spec with a flight recorder armed and writes
+// DumpFlight re-executes a spec armed as RunFlight arms it and writes
 // the NDJSON dump to w. A panic during the re-run is recovered and
 // returned as the error — the dump still covers every event recorded up
 // to the failure, which is the whole point: the farm calls this for
-// failed and retried points. depth <= 0 selects flight.DefaultDepth.
-func DumpFlight(s *Spec, depth int, w io.Writer) (err error) {
-	if depth <= 0 {
-		depth = flight.DefaultDepth
+// failed and retried points.
+func DumpFlight(s *Spec, w io.Writer) (err error) {
+	s, opts, err := prepare(s, true)
+	if err != nil {
+		return err
 	}
-	norm := s.Normalized()
-	norm.Telemetry = true
-	if norm.Epoch == 0 {
-		norm.Epoch = uint64(telemetry.DefaultEpoch)
-	}
-	if verr := norm.Validate(); verr != nil {
-		return verr
-	}
-	run, _ := lookup(norm.Experiment)
-	opts := norm.BenchOptions()
-	capture := bench.NewCapture(norm.Epoch)
-	capture.SetFlightDepth(depth)
-	opts.Capture = capture
-
+	run, _ := lookup(s.Experiment)
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("spec: dump-flight re-run panicked: %v", r)
 			}
 		}()
-		if _, _, _, rerr := run(norm, opts); rerr != nil {
+		if _, _, _, rerr := run(s, opts); rerr != nil {
 			err = rerr
 		}
 	}()
-	if werr := flight.WriteNDJSON(w, capture.FlightRecorders(), nil); werr != nil {
+	if werr := flight.WriteNDJSON(w, opts.Capture.FlightRecorders(), nil); werr != nil {
 		return werr
 	}
 	return err

@@ -293,7 +293,7 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 // every rig (forcing telemetry on) and the outcome carries the labeled
 // rings; the dump is well-formed NDJSON.
 func TestRunFlightCapturesRecorders(t *testing.T) {
-	out, err := RunFlight(quickSpec(), 32)
+	out, err := RunFlight(quickSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestRunFlightCapturesRecorders(t *testing.T) {
 		t.Fatalf("%d recorders for %d runs", len(out.Flight), len(out.Runs))
 	}
 	for _, lr := range out.Flight {
-		if lr.Rec == nil || lr.Rec.Depth() != 32 {
+		if lr.Rec == nil || lr.Rec.Depth() != flight.DefaultDepth {
 			t.Fatalf("%s: bad recorder %+v", lr.Label, lr.Rec)
 		}
 	}
@@ -327,7 +327,7 @@ func TestRunFlightDoesNotChangeResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	armed, err := RunFlight(quickSpec(), 64)
+	armed, err := RunFlight(quickSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestRunFlightDoesNotChangeResults(t *testing.T) {
 // points writes a meta line plus events.
 func TestDumpFlight(t *testing.T) {
 	var buf bytes.Buffer
-	if err := DumpFlight(quickSpec(), 0, &buf); err != nil {
+	if err := DumpFlight(quickSpec(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))

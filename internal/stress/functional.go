@@ -38,7 +38,7 @@ func runFunctional(p Program) (*run, uint64, error) {
 	}
 	f := fastsim.NewFunctional(r.sys.Mem())
 	for gi, op := range p.Ops {
-		mop, err := r.exec(gi, InjectNone)
+		mop, err := r.exec(gi)
 		if err != nil {
 			return nil, 0, err
 		}

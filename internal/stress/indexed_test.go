@@ -130,55 +130,3 @@ func TestIndexedParallelWorkersDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestIndexedInjectedBugCaughtAndShrunk plants the index-permutation bug
-// (every gatherv of >= 2 elements returns its first two values swapped)
-// and checks the oracle catches it, the shrinker reduces the reproducer
-// to a handful of ops, and the vector-element pass trims the triggering
-// gatherv down to the minimal two elements.
-func TestIndexedInjectedBugCaughtAndShrunk(t *testing.T) {
-	opts := Options{Inject: InjectIndexPerm}
-	var failing *Program
-	var firstDiv *Divergence
-	for _, seed := range runner.Seeds(1, 50) {
-		p := GenerateWith(seed, GenConfig{Indexed: true})
-		res, err := Run(p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Div != nil {
-			failing, firstDiv = &p, res.Div
-			break
-		}
-	}
-	if failing == nil {
-		t.Fatal("injected index-permutation bug not caught in 50 seeds")
-	}
-	if firstDiv.Kind != "load-value" {
-		t.Fatalf("unexpected divergence kind %q", firstDiv.Kind)
-	}
-	min, div := Shrink(*failing, Checker(opts))
-	if div == nil {
-		t.Fatal("shrink lost the failure")
-	}
-	if len(min.Ops) > 10 {
-		t.Fatalf("shrunk program still has %d ops (want <= 10):\n%s", len(min.Ops), min)
-	}
-	sawGatherv := false
-	for _, op := range min.Ops {
-		if op.Kind == OpGatherV {
-			sawGatherv = true
-			// The bug needs two elements; the Idx pass must have trimmed
-			// the vector to exactly that (two differing words).
-			if len(op.Idx) > 2 {
-				t.Fatalf("shrunk gatherv still has %d index elements (want 2):\n%s", len(op.Idx), min)
-			}
-		}
-	}
-	if !sawGatherv {
-		t.Fatalf("shrunk reproducer lost the gatherv:\n%s", min)
-	}
-	if d := Checker(opts)(min); d == nil {
-		t.Fatal("shrunk program does not reproduce the divergence")
-	}
-}

@@ -15,30 +15,11 @@ import (
 	"gsdram/internal/rig"
 )
 
-// Inject selects a deterministic fault injected into the simulator side
-// of the differential run — used to validate that the oracle catches
-// bugs and that the shrinker minimises them.
-type Inject int
-
-const (
-	// InjectNone runs the real system unmodified.
-	InjectNone Inject = iota
-	// InjectShuffleSwap models a shuffle-math bug: on every pattload of a
-	// line in an odd column of a shuffled page, the first two gathered
-	// words are swapped before recording.
-	InjectShuffleSwap
-	// InjectIndexPerm models an index-translation bug in the coalescer:
-	// every gatherv of two or more elements returns its first two values
-	// permuted.
-	InjectIndexPerm
-)
-
 // Options configures one differential run.
 type Options struct {
 	// NoInline disables the cores' event-horizon fast path, so the pure
 	// event-driven execution goes through the oracle too.
 	NoInline bool
-	Inject   Inject
 	// Flight, when non-nil, is the rig's event log: it records the run's
 	// microarchitectural events (DDR commands, fills, coherence, bursts,
 	// MSHRs, core ops) so a divergence can be dumped with the history
@@ -213,10 +194,10 @@ func newRun(p Program, ro rig.Options) (*run, error) {
 
 // exec performs the simulator side of op gi: it moves the op's data
 // through the machine (functionally, at issue), fills the op's Record
-// with what a load observed, plants inj's fault in that Record, and
-// returns the core op that carries the access (with its page's §4.1
-// flags) through the memory system. An error names the op.
-func (r *run) exec(gi int, inj Inject) (cpu.Op, error) {
+// with what a load observed, and returns the core op that carries the
+// access (with its page's §4.1 flags) through the memory system. An
+// error names the op.
+func (r *run) exec(gi int) (cpu.Op, error) {
 	op := r.p.Ops[gi]
 	addr := r.bases[op.Region] + addrmap.Addr(op.Off)
 	patt := r.p.Pattern(op)
@@ -238,11 +219,6 @@ func (r *run) exec(gi int, inj Inject) (cpu.Op, error) {
 		if idx, err = r.mach.ReadLineIndices(addr, patt, r.buf); err == nil {
 			rec.Vals = append([]uint64(nil), r.buf...)
 			rec.Idx = append([]int(nil), idx...)
-			if inj == InjectShuffleSwap {
-				if loc, err := r.p.Spec.Decompose(addr); err == nil && loc.Col%2 == 1 {
-					rec.Vals[0], rec.Vals[1] = rec.Vals[1], rec.Vals[0]
-				}
-			}
 		}
 	case OpPattStore:
 		mop.Kind = cpu.OpStore
@@ -252,9 +228,6 @@ func (r *run) exec(gi int, inj Inject) (cpu.Op, error) {
 		dst := make([]uint64, len(mop.Addrs))
 		if err = r.mach.GatherV(mop.Addrs, dst); err == nil {
 			rec.Vals = dst
-			if inj == InjectIndexPerm && len(dst) >= 2 {
-				dst[0], dst[1] = dst[1], dst[0]
-			}
 		}
 	case OpScatterV:
 		mop = cpu.Op{Kind: cpu.OpScatterV, Addrs: idxAddrs(addr, op.Idx), PC: uint64(gi)}
@@ -282,7 +255,7 @@ func Run(p Program, opts Options) (*Result, error) {
 	}
 	cores := make([]*cpu.Core, p.Cores)
 	for c := range cores {
-		cores[c] = cpu.New(c, r.sys.Queue(), r.sys.Mem(), r.stream(perCore[c], opts.Inject), nil)
+		cores[c] = cpu.New(c, r.sys.Queue(), r.sys.Mem(), r.stream(perCore[c]), nil)
 	}
 	hang := r.sys.Run(cores...)
 	if r.res.Div != nil { // an exec error
@@ -304,7 +277,7 @@ func Run(p Program, opts Options) (*Result, error) {
 // core fetches the op (or its gap), so loads record what they observed
 // for verify. The first exec error becomes res.Div, an exec-error
 // divergence, and ends every core's stream.
-func (r *run) stream(opIdx []int, inj Inject) cpu.Stream {
+func (r *run) stream(opIdx []int) cpu.Stream {
 	pos := 0
 	var next cpu.OpQueue // the fetched op's gap, then the op
 	return cpu.FuncStream(func() (cpu.Op, bool) {
@@ -314,7 +287,7 @@ func (r *run) stream(opIdx []int, inj Inject) cpu.Stream {
 			}
 			gi := opIdx[pos]
 			pos++
-			mop, err := r.exec(gi, inj)
+			mop, err := r.exec(gi)
 			if err != nil {
 				r.res.Div = &Divergence{Kind: "exec-error", Op: gi, Detail: err.Error()}
 				return cpu.Op{}, false

@@ -91,45 +91,6 @@ func TestParallelWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestInjectedBugCaughtAndShrunk plants a deterministic shuffle-math bug
-// in the simulator side and checks that (a) the oracle catches it within
-// a modest seed budget and (b) the shrinker reduces a failing program to
-// a minimal reproducer of at most 10 accesses (the acceptance bound; the
-// injected bug actually needs only one).
-func TestInjectedBugCaughtAndShrunk(t *testing.T) {
-	opts := Options{Inject: InjectShuffleSwap}
-	var failing *Program
-	var firstDiv *Divergence
-	for _, seed := range runner.Seeds(1, 50) {
-		p := Generate(seed)
-		res, err := Run(p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Div != nil {
-			failing, firstDiv = &p, res.Div
-			break
-		}
-	}
-	if failing == nil {
-		t.Fatal("injected shuffle bug not caught in 50 seeds")
-	}
-	if firstDiv.Kind != "load-value" && firstDiv.Kind != "gather-index" {
-		t.Fatalf("unexpected divergence kind %q", firstDiv.Kind)
-	}
-	min, div := Shrink(*failing, Checker(opts))
-	if div == nil {
-		t.Fatal("shrink lost the failure")
-	}
-	if len(min.Ops) > 10 {
-		t.Fatalf("shrunk program still has %d ops (want <= 10):\n%s", len(min.Ops), min)
-	}
-	// The minimal program must still fail when re-run from scratch.
-	if d := Checker(opts)(min); d == nil {
-		t.Fatal("shrunk program does not reproduce the divergence")
-	}
-}
-
 // TestShrinkPassingProgramIsIdentity checks Shrink returns a passing
 // program unchanged with a nil divergence.
 func TestShrinkPassingProgramIsIdentity(t *testing.T) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -74,11 +75,11 @@ func parseGateArgs(args []string) (gateArgs, error) {
 }
 
 // benchGate implements `gsbench bench-gate OLD.json NEW.json`: compare
-// NEW's simulated end cycles run by run against the OLD baseline
-// (typically the committed BENCH_seed.json) and fail when any run
-// regresses beyond -tol percent. Simulated cycles are deterministic, so
-// a small tolerance only absorbs intentional modelling changes. Host
-// cost is not gated here: wall time is one noisy sample per experiment,
+// NEW's end_cycle and core busy cycles run by run against the baseline
+// OLD (typically the committed BENCH_seed.json) and fail when any rises
+// beyond -tol percent. Simulated cycles are deterministic, so a small
+// tolerance only absorbs intentional modelling changes. Host cost is
+// not gated here: wall time is one noisy sample per experiment,
 // and gsperf compare gates it from repeated runs. A run present in OLD
 // but missing from NEW also fails: coverage loss is a regression.
 func benchGate(args []string, w io.Writer) error {
@@ -97,13 +98,28 @@ func benchGate(args []string, w io.Writer) error {
 	return gateFiles(w, ga, oldF, newF)
 }
 
+// busyCycles returns each core's instructions plus memory stall cycles,
+// nil for a run without core counters. A core starts at cycle 0 and
+// finishes at exactly this sum, while end_cycle is rounded up to the
+// epoch sampler's next tick and hides any change smaller than an epoch.
+func busyCycles(metrics map[string]json.RawMessage) (busy []uint64) {
+	for c := 0; ; c++ {
+		var instr, stall uint64
+		if json.Unmarshal(metrics[fmt.Sprintf("core.%d.instructions", c)], &instr) != nil ||
+			json.Unmarshal(metrics[fmt.Sprintf("core.%d.mem_stall_cycles", c)], &stall) != nil {
+			return busy
+		}
+		busy = append(busy, instr+stall)
+	}
+}
+
 // gateFiles runs the comparison; split from benchGate for testing.
 func gateFiles(w io.Writer, ga gateArgs, oldF, newF *diffFile) error {
 	type runKey struct{ exp, label string }
-	newCycles := map[runKey]uint64{}
+	newRuns := map[runKey]*diffTelemetry{}
 	for _, e := range newF.Experiments {
-		for _, t := range e.Telemetry {
-			newCycles[runKey{e.Experiment, t.Label}] = t.EndCycle
+		for i := range e.Telemetry {
+			newRuns[runKey{e.Experiment, e.Telemetry[i].Label}] = &e.Telemetry[i]
 		}
 	}
 
@@ -111,19 +127,24 @@ func gateFiles(w io.Writer, ga gateArgs, oldF, newF *diffFile) error {
 	for _, e := range oldF.Experiments {
 		for _, t := range e.Telemetry {
 			k := runKey{e.Experiment, t.Label}
-			nc, ok := newCycles[k]
+			nt, ok := newRuns[k]
 			if !ok {
 				fmt.Fprintf(w, "FAIL %s · %s: run missing from %s\n", k.exp, k.label, ga.new)
 				regressions++
 				continue
 			}
 			checked++
-			limit := float64(t.EndCycle) * (1 + ga.tol/100)
-			if float64(nc) > limit {
-				fmt.Fprintf(w, "FAIL %s · %s: %d cycles vs baseline %d (+%.2f%% > %.2f%%)\n",
-					k.exp, k.label, nc, t.EndCycle,
-					100*(float64(nc)/float64(t.EndCycle)-1), ga.tol)
-				regressions++
+			gate := func(what string, oc, nc uint64) {
+				if float64(nc) > float64(oc)*(1+ga.tol/100) {
+					fmt.Fprintf(w, "FAIL %s · %s: %s %d vs baseline %d (+%.2f%% > %.2f%%)\n",
+						k.exp, k.label, what, nc, oc, 100*(float64(nc)/float64(oc)-1), ga.tol)
+					regressions++
+				}
+			}
+			gate("end_cycle", t.EndCycle, nt.EndCycle)
+			ob, nb := busyCycles(t.Metrics), busyCycles(nt.Metrics)
+			for c := range min(len(ob), len(nb)) {
+				gate(fmt.Sprintf("core %d busy cycles", c), ob[c], nb[c])
 			}
 		}
 	}

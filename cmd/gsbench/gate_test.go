@@ -112,3 +112,27 @@ func TestBenchGateMissingRun(t *testing.T) {
 		t.Fatal("telemetry-free baseline passed the gate")
 	}
 }
+
+// TestBenchGateSeesCoreCycles: the epoch sampler rounds end_cycle up to
+// its next tick, so a run that got slower can keep its end_cycle. Its
+// cores' busy cycles (instructions + memory stall cycles) still move,
+// and the gate compares them too.
+func TestBenchGateSeesCoreCycles(t *testing.T) {
+	doc := func(stall int) string {
+		return strings.Replace(gateDoc(100_000, 1_000_000), `"metrics": {}`,
+			`"metrics": {"core.0.instructions": 500, "core.0.mem_stall_cycles": `+strconv.Itoa(stall)+`}`, 1)
+	}
+	old := writeGateFile(t, "old.json", doc(40_000))
+	var out strings.Builder
+	if err := benchGate([]string{old, old, "-tol", "0"}, &out); err != nil {
+		t.Fatalf("identical core counters failed the gate: %v\n%s", err, out.String())
+	}
+	slower := writeGateFile(t, "slower.json", doc(40_001))
+	out.Reset()
+	if err := benchGate([]string{old, slower, "-tol", "0"}, &out); err == nil {
+		t.Fatalf("a core slower under an equal end_cycle passed the gate:\n%s", out.String())
+	}
+	if want := "FAIL fig9 · fig9/GS-DRAM/pure-q: core 0 busy cycles 40501 vs baseline 40500"; !strings.Contains(out.String(), want) {
+		t.Fatalf("no %q line:\n%s", want, out.String())
+	}
+}

@@ -58,11 +58,11 @@
 // documents run by run; histograms expand to .count/.mean/.p50/.p99 rows.
 //
 // gsbench bench-gate compares NEW.json against a committed baseline
-// (BENCH_seed.json) and exits nonzero when any run's simulated end cycle
-// regresses by more than -tol percent (default 5). It gates simulated
-// results only; host cost is gsperf compare's job. With -explain, a
-// failing gate also prints the explain diagnosis of the pair before
-// exiting.
+// (BENCH_seed.json) and exits nonzero when a run's end cycle or a core's
+// busy cycles rise by more than -tol percent (default 5). It gates
+// simulated results only; host cost is gsperf compare's job. With
+// -explain, a failing gate also prints the explain diagnosis of the
+// pair before exiting.
 //
 // gsbench explain is the differential root-cause analyzer (DESIGN.md
 // §5.11): given two -json documents it decomposes every matched run's

@@ -37,12 +37,13 @@ func L2Default() Config {
 	return Config{Name: "L2", SizeBytes: 2 << 20, Ways: 8, LineBytes: 64}
 }
 
-// Line identifies one resident cache line: its address and the pattern ID
-// it was fetched with.
+// Line identifies one resident cache line: its address, the pattern ID
+// it was fetched with, its dirty bit and its prefetch mark (see Mark).
 type Line struct {
 	Addr    addrmap.Addr
 	Pattern gsdram.Pattern
 	Dirty   bool
+	Marked  bool
 }
 
 // Stats counts cache events. It is the compatibility snapshot type
@@ -99,13 +100,14 @@ func keyPattern(key uint64) gsdram.Pattern {
 
 // Cache is one level of set-associative cache with LRU replacement. The
 // per-line state lives in parallel arrays indexed by set*Ways+way: the
-// packed identity keys scanned on every access, and the LRU stamps and
-// dirty bits touched only on hits, fills, and victim scans.
+// packed identity keys scanned on every access, and the LRU stamps, dirty
+// bits and prefetch marks touched only on hits, fills and victim scans.
 type Cache struct {
 	cfg     Config
 	keys    []uint64
 	stamps  []uint64
 	dirty   []bool
+	marked  []bool
 	ways    int
 	setMask uint64
 	offBits uint
@@ -141,6 +143,7 @@ func New(cfg Config) (*Cache, error) {
 		keys:    make([]uint64, lines),
 		stamps:  make([]uint64, lines),
 		dirty:   make([]bool, lines),
+		marked:  make([]bool, lines),
 		ways:    cfg.Ways,
 		setMask: uint64(numSets - 1),
 		offBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
@@ -265,7 +268,7 @@ func (c *Cache) evictLine(vi int) (Line, bool) {
 	if c.dirty[vi] {
 		c.ctr.DirtyEvicts++
 	}
-	return Line{Addr: c.lineAddrFromTag(keyTag(key)), Pattern: keyPattern(key), Dirty: c.dirty[vi]}, true
+	return c.line(vi), true
 }
 
 // Fill inserts (addr, pattern), evicting the LRU way if the set is full.
@@ -296,14 +299,17 @@ func (c *Cache) FillNew(a addrmap.Addr, p gsdram.Pattern, dirty bool) (evicted L
 	c.keys[vi] = packKey(c.tag(a), p)
 	c.stamps[vi] = c.clock
 	c.dirty[vi] = dirty
+	c.marked[vi] = false
 	if p != gsdram.DefaultPattern {
 		c.ctr.PatternFills++
 	}
 	return evicted, hasEvict
 }
 
-func (c *Cache) lineAddrFromTag(tag uint64) addrmap.Addr {
-	return addrmap.Addr(tag << c.offBits)
+// line describes the valid line at index i.
+func (c *Cache) line(i int) Line {
+	key := c.keys[i]
+	return Line{Addr: addrmap.Addr(keyTag(key) << c.offBits), Pattern: keyPattern(key), Dirty: c.dirty[i], Marked: c.marked[i]}
 }
 
 // clearLine resets line index i to the invalid state.
@@ -336,17 +342,37 @@ func (c *Cache) CleanLine(a addrmap.Addr, p gsdram.Pattern) (wasDirty bool) {
 	return false
 }
 
+// Mark sets the prefetch mark of (addr, pattern), if present: the line's
+// last fill was a prefetch. FillNew resets a way's mark, and an invalid
+// way matches no lookup, so an evicted, invalidated or refilled line
+// carries no mark.
+func (c *Cache) Mark(a addrmap.Addr, p gsdram.Pattern) {
+	if i := c.find(a, p); i >= 0 {
+		c.marked[i] = true
+	}
+}
+
+// Unmark clears the prefetch mark of (addr, pattern) and reports whether
+// the line was present and marked: a demand hit used the prefetch.
+func (c *Cache) Unmark(a addrmap.Addr, p gsdram.Pattern) (wasMarked bool) {
+	if i := c.find(a, p); i >= 0 && c.marked[i] {
+		c.marked[i] = false
+		return true
+	}
+	return false
+}
+
 // Lines returns a snapshot of every resident line, sorted by (address,
 // pattern) so two snapshots are directly comparable regardless of way
 // placement. It is the state-extraction hook of the differential
 // verification harness (internal/stress): the architectural content of a
-// cache is exactly this set — which (line, pattern) pairs are present and
-// which are dirty — not where in a set they happen to live.
+// cache is exactly this set — which (line, pattern) pairs are present,
+// dirty and marked — not where in a set they happen to live.
 func (c *Cache) Lines() []Line {
 	var lines []Line
 	for i, key := range c.keys {
 		if key&keyValid != 0 {
-			lines = append(lines, Line{Addr: c.lineAddrFromTag(keyTag(key)), Pattern: keyPattern(key), Dirty: c.dirty[i]})
+			lines = append(lines, c.line(i))
 		}
 	}
 	sort.Slice(lines, func(i, j int) bool {
@@ -358,24 +384,12 @@ func (c *Cache) Lines() []Line {
 	return lines
 }
 
-// ResidentLines returns the number of valid lines — used by tests and the
-// cache-footprint statistics.
-func (c *Cache) ResidentLines() int {
-	n := 0
-	for _, key := range c.keys {
-		if key&keyValid != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Flush invalidates every line, returning all dirty lines for writeback.
 func (c *Cache) Flush() []Line {
 	var dirty []Line
 	for i, key := range c.keys {
 		if key&keyValid != 0 && c.dirty[i] {
-			dirty = append(dirty, Line{Addr: c.lineAddrFromTag(keyTag(key)), Pattern: keyPattern(key), Dirty: true})
+			dirty = append(dirty, c.line(i))
 		}
 		c.clearLine(i)
 	}

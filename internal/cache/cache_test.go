@@ -190,6 +190,42 @@ func TestRefillMergesDirty(t *testing.T) {
 	}
 }
 
+// TestMarkLivesOnTheLine pins the prefetch mark's life: a refresh of the
+// resident line keeps it, the first Unmark takes it, and a line filled
+// into a way after an invalidation or an eviction carries none.
+func TestMarkLivesOnTheLine(t *testing.T) {
+	c := small(t)
+	a := addrmap.Addr(0x7000)
+	c.Fill(a, 0, false)
+	c.Mark(a, 0)
+	c.Mark(a+64, 0) // absent line: no-op
+	if l := c.Lines(); len(l) != 1 || !l[0].Marked {
+		t.Fatalf("lines after Mark: %+v", l)
+	}
+	c.Fill(a, 0, true)
+	if !c.Unmark(a, 0) || c.Unmark(a, 0) {
+		t.Fatal("Unmark must take the mark a refresh keeps, once")
+	}
+
+	c.Mark(a, 0)
+	c.Invalidate(a, 0)
+	c.Fill(a, 0, false)
+	if c.Unmark(a, 0) {
+		t.Fatal("a line refilled after its invalidation inherited the mark")
+	}
+
+	// Two more lines of the 2-way set (4 sets of 64 B) evict a; the
+	// second takes a's way.
+	c.Mark(a, 0)
+	c.Fill(a+256, 0, false)
+	c.Fill(a+512, 0, false)
+	for _, l := range c.Lines() {
+		if l.Marked {
+			t.Fatalf("%+v inherited the evicted line's mark", l)
+		}
+	}
+}
+
 func TestFlush(t *testing.T) {
 	c := small(t)
 	c.Fill(0x0040, 0, true)
@@ -199,20 +235,8 @@ func TestFlush(t *testing.T) {
 	if len(dirty) != 2 {
 		t.Fatalf("flush returned %d dirty lines, want 2", len(dirty))
 	}
-	if c.ResidentLines() != 0 {
+	if len(c.Lines()) != 0 {
 		t.Fatal("lines remain after flush")
-	}
-}
-
-func TestResidentLines(t *testing.T) {
-	c := small(t)
-	if c.ResidentLines() != 0 {
-		t.Fatal("fresh cache not empty")
-	}
-	c.Fill(0x0000, 0, false)
-	c.Fill(0x0040, 0, false)
-	if got := c.ResidentLines(); got != 2 {
-		t.Fatalf("resident = %d, want 2", got)
 	}
 }
 
@@ -236,7 +260,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 				return false // just-filled line must be resident
 			}
 		}
-		return c.ResidentLines() <= 16
+		return len(c.Lines()) <= 16
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -146,7 +146,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 		}
 	}
 	// Final full-state comparison.
-	if got, want := c.ResidentLines(), len(ref.entries); got != want {
+	if got, want := len(c.Lines()), len(ref.entries); got != want {
 		t.Fatalf("resident lines %d, ref %d", got, want)
 	}
 }

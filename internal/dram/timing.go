@@ -55,36 +55,6 @@ func DDR3_1600() Timing {
 	}
 }
 
-// DDR3_1066 returns JEDEC DDR3-1066F (7-7-7) timing in bus cycles
-// (tCK = 1.875 ns).
-func DDR3_1066() Timing {
-	return Timing{
-		CL: 7, CWL: 6, TRCD: 7, TRP: 7, TRAS: 20, TRC: 27,
-		TBL: 4, TCCD: 4, TRTP: 4, TWR: 8, TWTR: 4, TRTW: 6,
-		TRRD: 4, TFAW: 20, TRFC: 139, TREF: 4160,
-	}
-}
-
-// DDR3_1333 returns JEDEC DDR3-1333H (9-9-9) timing in bus cycles
-// (tCK = 1.5 ns).
-func DDR3_1333() Timing {
-	return Timing{
-		CL: 9, CWL: 7, TRCD: 9, TRP: 9, TRAS: 24, TRC: 33,
-		TBL: 4, TCCD: 4, TRTP: 5, TWR: 10, TWTR: 5, TRTW: 7,
-		TRRD: 4, TFAW: 20, TRFC: 174, TREF: 5200,
-	}
-}
-
-// DDR3_1866 returns JEDEC DDR3-1866L (13-13-13) timing in bus cycles
-// (tCK = 1.071 ns).
-func DDR3_1866() Timing {
-	return Timing{
-		CL: 13, CWL: 9, TRCD: 13, TRP: 13, TRAS: 32, TRC: 45,
-		TBL: 4, TCCD: 4, TRTP: 7, TWR: 14, TWTR: 7, TRTW: 8,
-		TRRD: 5, TFAW: 26, TRFC: 243, TREF: 7283,
-	}
-}
-
 // ReadDataCycles returns the time from RD issue to the end of the data
 // burst (CAS latency plus burst length), in the Timing's own unit —
 // exactly the interval Rank.Issue reports for a CmdRD. The latency

@@ -1,7 +1,7 @@
 // Package hashtab provides Table, the simulator's one open-addressing
 // hash table. It serves the per-access lookups that must stay off the
-// runtime's map hashing: memsys's outstanding misses and prefetch marks,
-// which every L2 hit, miss and eviction consults; gsdram.Module's clone
+// runtime's map hashing: memsys's outstanding misses, which every L2
+// miss and prefetch candidate consults; gsdram.Module's clone
 // overlay, which every functional word access of a cloned machine
 // consults; and imdb's shadow overlay, which every fast-forwarded field
 // access of a sampled run consults.

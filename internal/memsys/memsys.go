@@ -272,9 +272,6 @@ type System struct {
 	// coalesced hot path does not allocate (see vaccess.go).
 	coal    *memctrl.Coalescer
 	vopFree []*vop
-	// prefetched marks, by lineKey, L2 lines whose last fill came from a
-	// prefetch, for usefulness accounting.
-	prefetched hashtab.Table[struct{}]
 	// keyShift converts a line address to the line number lineKey packs.
 	keyShift uint
 	// pfBuf is the reusable candidate buffer train passes to the
@@ -372,13 +369,13 @@ func (s *System) ChargeStoreBufferStall(core int, cycles sim.Cycle) {
 	}
 }
 
-// lineKey packs (line, pattern) into the key of the MSHR and prefetch-mark
-// tables the way internal/cache packs its tags: the line number above 16
-// pattern bits (gsdram.Params caps PatternBits at 16) and a set low bit,
-// so no key is 0. The line number counts units of the smaller cache
-// line, which every line address the system forms is aligned to. Like
-// the cache's tag packing, it is exact below 2^47 line numbers; lineKey
-// panics beyond, where cache.Fill and the controller panic too.
+// lineKey packs (line, pattern) into the MSHR table's key the way
+// internal/cache packs its tags: the line number above 16 pattern bits
+// (gsdram.Params caps PatternBits at 16) and a set low bit, so no key is
+// 0. The line number counts units of the smaller cache line, which every
+// line address the system forms is aligned to. Like the cache's tag
+// packing, it is exact below 2^47 line numbers; lineKey panics beyond,
+// where cache.Fill and the controller panic too.
 func (s *System) lineKey(line addrmap.Addr, p gsdram.Pattern) uint64 {
 	n := uint64(line) >> s.keyShift
 	if n >= 1<<47 {
@@ -578,13 +575,12 @@ func (s *System) access(now sim.Cycle, a *Access, onDone func(now sim.Cycle)) (d
 	}
 
 	t2 := t1 + s.cfg.L2Latency
-	key := s.lineKey(line, a.Pattern)
 	if s.cfg.EnablePrefetch && !a.Write {
 		s.train(now, a, line)
 	}
 	if s.l2.Lookup(line, a.Pattern, false) {
 		s.ctr.L2Hits++
-		if _, ok := s.prefetched.Del(key); ok {
+		if s.l2.Unmark(line, a.Pattern) {
 			s.ctr.PrefUseful++
 		}
 		// Nothing since the L1 lookup touched this core's L1: the probe
@@ -617,6 +613,7 @@ func (s *System) access(now sim.Cycle, a *Access, onDone func(now sim.Cycle)) (d
 		core: a.Core, write: a.Write, onDone: onDone, extra: extra,
 		start: now, blocking: !a.NonBlocking,
 	}
+	key := s.lineKey(line, a.Pattern)
 	if e, ok := s.mshrs.Get(key); ok {
 		w.coalesced = true
 		e.waiters = append(e.waiters, w)
@@ -661,7 +658,7 @@ func (s *System) train(now sim.Cycle, a *Access, line addrmap.Addr) {
 		}
 		if s.warm {
 			s.fillL2(cl, cand.Pattern, false, true)
-			s.prefetched.Put(key, struct{}{})
+			s.l2.Mark(cl, cand.Pattern)
 			continue
 		}
 		e := s.newMSHR()
@@ -742,7 +739,7 @@ func (s *System) finishFetch(now sim.Cycle, key uint64) {
 	s.cfg.Log.MSHR(now, flight.KindMSHRFree, e.core, uint64(e.line), e.patt, len(e.waiters))
 	s.fillL2(e.line, e.patt, false, false)
 	if e.prefetched && len(e.waiters) == 0 {
-		s.prefetched.Put(key, struct{}{})
+		s.l2.Mark(e.line, e.patt)
 	}
 	for _, w := range e.waiters {
 		s.fillL1(w.core, e.line, e.patt, w.write, false)
@@ -798,9 +795,6 @@ func (s *System) fillL2(line addrmap.Addr, p gsdram.Pattern, dirty, missed bool)
 		ev, has = s.l2.FillNew(line, p, dirty)
 	} else {
 		ev, has = s.l2.Fill(line, p, dirty)
-	}
-	if has && s.prefetched.Len() != 0 {
-		s.prefetched.Del(s.lineKey(ev.Addr, ev.Pattern))
 	}
 	if has && ev.Dirty {
 		s.writeback(ev.Addr, ev.Pattern)

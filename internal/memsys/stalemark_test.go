@@ -3,19 +3,16 @@ package memsys
 import (
 	"testing"
 
+	"gsdram/internal/addrmap"
 	"gsdram/internal/sim"
 )
 
-// TestStalePrefetchMarkSurvivesOverlapInvalidation pins a known defect
-// of the prefetch usefulness count (Stats.PrefUseful): invalidateOverlaps
-// drops an L2 line without clearing its prefetch mark, so a later demand
-// refill of the line inherits the mark, and its next L2 hit counts as a
-// useful prefetch although the line's last fill was a demand fetch.
-// PrefUseful is in every pinned result digest, so the fix changes
-// digests and this test with it: the fix must make the final hit count
-// nothing.
-func TestStalePrefetchMarkSurvivesOverlapInvalidation(t *testing.T) {
-	h := newHarness(t, 2, func(c *Config) { c.EnablePrefetch = true })
+// prefetchRow20 trains the stride prefetcher on a 2-core system and
+// returns a line it prefetched into the L2 that no demand has touched.
+// On the way it shows that a prefetched line's first demand L2 hit
+// counts one useful prefetch (Stats.PrefUseful).
+func prefetchRow20(t *testing.T, h *harness) addrmap.Addr {
+	t.Helper()
 	// A unit-stride scan of columns 0..15 of row 20 from one PC trains
 	// the stride prefetcher, which runs ahead into columns 16..19.
 	at := sim.Cycle(0)
@@ -28,37 +25,64 @@ func TestStalePrefetchMarkSurvivesOverlapInvalidation(t *testing.T) {
 	if present, _ := h.s.l2.Probe(x, 0); !present {
 		t.Fatal("the scan did not prefetch column 17 into the L2")
 	}
-	if _, marked := h.s.prefetched.Get(h.s.lineKey(x, 0)); !marked {
-		t.Fatal("column 17's prefetched L2 line carries no mark")
-	}
 
+	// Core 1's load of column 16 misses its L1 and hits the prefetched
+	// L2 line. Each later access comes from its own PC, so none trains a
+	// confident stride.
+	useful := h.s.Stats().PrefUseful
+	h.access(h.q.Now()+1000, Access{Core: 1, Addr: addr(0, 20, 16), PC: 0x500})
+	h.q.Run()
+	if got := h.s.Stats().PrefUseful - useful; got != 1 {
+		t.Fatalf("the first demand hit on a prefetched L2 line counted %d useful prefetches, want 1", got)
+	}
+	return x
+}
+
+// refillCountsNothing has core 0 refill the dropped line x on demand and
+// core 1 hit it in the L2. The line's last fill was a demand fetch, so
+// neither may count a useful prefetch.
+func refillCountsNothing(t *testing.T, h *harness, x addrmap.Addr) {
+	t.Helper()
+	if present, _ := h.s.l2.Probe(x, 0); present {
+		t.Fatal("column 17's L2 line was not dropped")
+	}
+	before := h.s.Stats()
+	h.access(h.q.Now()+1000, Access{Core: 0, Addr: x, PC: 0x600})
+	h.q.Run()
+	if got := h.s.Stats().DRAMReads - before.DRAMReads; got != 1 {
+		t.Fatalf("demand refill made %d DRAM reads, want 1", got)
+	}
+	h.access(h.q.Now()+1000, Access{Core: 1, Addr: x, PC: 0x700})
+	h.q.Run()
+	after := h.s.Stats()
+	if got := after.L2Hits - before.L2Hits; got != 1 {
+		t.Fatalf("core 1's load made %d L2 hits, want 1", got)
+	}
+	if got := after.PrefUseful - before.PrefUseful; got != 0 {
+		t.Fatalf("the refill and the L2 hit on it counted %d useful prefetches, want 0: the line's last fill was a demand fetch", got)
+	}
+}
+
+// TestOverlapInvalidationDropsPrefetchMark: a line that a §4.1 overlap
+// invalidation drops loses its prefetch mark with it, so a demand
+// refill of the line does not inherit the mark.
+func TestOverlapInvalidationDropsPrefetchMark(t *testing.T) {
+	h := newHarness(t, 2, func(c *Config) { c.EnablePrefetch = true })
+	x := prefetchRow20(t, h)
 	// A pattern-7 store to the gathered line over columns 16..23
 	// invalidates the default-pattern lines it overlaps (paper §4.1).
 	h.access(h.q.Now()+1000, Access{Core: 0, Addr: addr(0, 20, 16), Pattern: 7, Write: true, Shuffled: true})
 	h.q.Run()
-	if present, _ := h.s.l2.Probe(x, 0); present {
-		t.Fatal("the patterned store did not invalidate column 17's L2 line")
-	}
-	// The defect: the dropped line keeps its mark.
-	if _, marked := h.s.prefetched.Get(h.s.lineKey(x, 0)); !marked {
-		t.Fatal("the invalidated line's mark is gone: the stale-mark defect is fixed; update this test")
-	}
+	refillCountsNothing(t, h, x)
+}
 
-	// Core 0 refills the line on demand from another PC, which does not
-	// train a confident stride.
-	reads := h.s.Stats().DRAMReads
-	h.access(h.q.Now()+1000, Access{Core: 0, Addr: x, PC: 0x500})
+// TestScattervDropsPrefetchMark is the indexed twin: a scatterv that
+// covers a word of the prefetched line invalidates it in every cache
+// (vcohLine), and the mark goes with it.
+func TestScattervDropsPrefetchMark(t *testing.T) {
+	h := newHarness(t, 2, func(c *Config) { c.EnablePrefetch = true })
+	x := prefetchRow20(t, h)
+	h.vaccess(h.q.Now()+1000, VAccess{Core: 0, Addrs: []addrmap.Addr{x + 8}, Write: true})
 	h.q.Run()
-	if got := h.s.Stats().DRAMReads; got != reads+1 {
-		t.Fatalf("demand refill made %d DRAM reads, want 1", got-reads)
-	}
-
-	// Core 1's load misses its own L1 and hits the demand-filled L2 line,
-	// which today counts as a useful prefetch.
-	useful := h.s.Stats().PrefUseful
-	h.access(h.q.Now()+1000, Access{Core: 1, Addr: x, PC: 0x600})
-	h.q.Run()
-	if got := h.s.Stats().PrefUseful - useful; got != 1 {
-		t.Fatalf("the L2 hit on a demand-refilled line counted %d useful prefetches; the stale mark made it count 1", got)
-	}
+	refillCountsNothing(t, h, x)
 }

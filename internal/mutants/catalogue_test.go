@@ -33,28 +33,28 @@ var catalogue = []mutant{
 		file: "internal/memsys/memsys.go",
 		old:  "s.ctr.PrefUseful++",
 		new:  "",
-		pkg:  "./internal/memsys", test: "TestStalePrefetchMarkSurvivesOverlapInvalidation",
+		pkg:  "./internal/memsys", test: "TestOverlapInvalidationDropsPrefetchMark",
 		want: "counted 0 useful prefetches",
 	},
 	{
-		// A §4.1 overlap invalidation also clears the line's prefetch
-		// mark. This is the fix of the stale-mark defect that CHANGES.md
-		// records; the test pins the defect until a rebaseline lands it.
-		name: "overlap-clears-mark",
-		file: "internal/memsys/memsys.go",
-		old:  "s.ctr.OverlapInvals++",
-		new:  "s.ctr.OverlapInvals++\n\t\t\t\ts.prefetched.Del(s.lineKey(oa, other))",
-		pkg:  "./internal/memsys", test: "TestStalePrefetchMarkSurvivesOverlapInvalidation",
-		want: "the invalidated line's mark is gone",
+		// A fill no longer resets its way's prefetch mark, so a line
+		// filled where a marked line was invalidated inherits the mark:
+		// the stale-mark defect of the side table this mark replaced.
+		name: "fill-keeps-mark",
+		file: "internal/cache/cache.go",
+		old:  "\tc.marked[vi] = false\n",
+		new:  "",
+		pkg:  "./internal/memsys", test: "TestOverlapInvalidationDropsPrefetchMark",
+		want: "counted 1 useful prefetches, want 0",
 	},
 	{
 		// The fast-forward fills a prefetch candidate without marking it.
 		name: "warm-prefetch-unmarked",
 		file: "internal/memsys/memsys.go",
-		old:  "s.fillL2(cl, cand.Pattern, false, true)\n\t\t\ts.prefetched.Put(key, struct{}{})",
+		old:  "s.fillL2(cl, cand.Pattern, false, true)\n\t\t\ts.l2.Mark(cl, cand.Pattern)",
 		new:  "s.fillL2(cl, cand.Pattern, false, true)",
 		pkg:  "./internal/memsys", test: "TestWarmAccessMatchesDetailed",
-		want: "prefetch marks differ",
+		want: "caches differ",
 	},
 	{
 		// tFAW no longer delays a fifth ACT.

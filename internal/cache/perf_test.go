@@ -33,11 +33,11 @@ func benchMissFill(b *testing.B, fill func(*Cache, addrmap.Addr, gsdram.Pattern,
 }
 
 // BenchmarkCacheMissFill measures an L2 demand miss followed by Fill,
-// whose presence scan repeats the lookup's.
+// whose presence check repeats the lookup's.
 func BenchmarkCacheMissFill(b *testing.B) { benchMissFill(b, (*Cache).Fill) }
 
 // BenchmarkCacheMissFillNew measures the same miss followed by FillNew,
-// which skips the presence scan.
+// which skips the presence check.
 func BenchmarkCacheMissFillNew(b *testing.B) { benchMissFill(b, (*Cache).FillNew) }
 
 // TestMissFillZeroAllocs pins the miss-and-fill path allocation-free for
@@ -51,4 +51,59 @@ func TestMissFillZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { missFill(c, (*Cache).FillNew, i); i++ }); allocs != 0 {
 		t.Errorf("miss then FillNew allocates %v times, want 0", allocs)
 	}
+}
+
+// TestCacheOpsZeroAllocs pins every other operation allocation-free: a
+// load and a store hit, Probe, a refreshing Fill, Mark, Unmark,
+// CleanLine, Invalidate and the counter save and restore.
+func TestCacheOpsZeroAllocs(t *testing.T) {
+	c := mustNew(t, L1Default())
+	a := addrmap.Addr(0x1000)
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Fill(a, 0, false)
+		c.Lookup(a, 0, false)
+		c.Lookup(a, 0, true)
+		c.Probe(a, 0)
+		c.Mark(a, 0)
+		c.Unmark(a, 0)
+		c.CleanLine(a, 0)
+		c.Invalidate(a, 0)
+		c.RestoreCounters(c.SaveCounters())
+	})
+	if allocs != 0 {
+		t.Errorf("the cache operations allocate %v times, want 0", allocs)
+	}
+}
+
+// BenchmarkCacheLookup measures L2 lookups into full sets, walking the
+// sets in turn: a hit on the way the set used last, a hit on another way,
+// and a miss.
+func BenchmarkCacheLookup(b *testing.B) {
+	c, err := New(L2Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sets := len(c.keys) / c.ways
+	// line(s, w) is the w-th line of set s; ways 0..Ways-1 are resident.
+	line := func(s, w int) addrmap.Addr { return addrmap.Addr((w*sets + s) * c.cfg.LineBytes) }
+	for w := 0; w < c.ways; w++ {
+		for s := 0; s < sets; s++ {
+			c.FillNew(line(s, w), 0, false)
+		}
+	}
+	b.Run("mru-hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Lookup(line(i%sets, c.ways-1), 0, false)
+		}
+	})
+	b.Run("other-way-hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Lookup(line(i%sets, i/sets%c.ways), 0, false)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Lookup(line(i%sets, c.ways+i/sets%c.ways), 0, false)
+		}
+	})
 }

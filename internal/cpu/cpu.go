@@ -392,7 +392,7 @@ func (c *Core) step(now sim.Cycle) {
 						c.q.Schedule(dt, c.stepFn)
 					}
 				}
-				if done, hit := c.mem.Access(t, acc, drain); hit {
+				if done, hit := c.mem.Access(t, &acc, drain); hit {
 					c.q.Schedule(done, drain)
 				}
 				if c.sbPending > c.sbCap {
@@ -407,7 +407,7 @@ func (c *Core) step(now sim.Cycle) {
 				continue
 			}
 			c.pendIssue = issue
-			done, hit := c.mem.Access(t, acc, c.resume)
+			done, hit := c.mem.Access(t, &acc, c.resume)
 			if !hit {
 				// Miss: c.resume fires (as an event) when the fill lands.
 				c.pendMiss = true

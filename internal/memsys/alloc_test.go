@@ -42,7 +42,7 @@ func TestAccessPrefetchingMissZeroAllocs(t *testing.T) {
 	onDone := func(sim.Cycle) {}
 	issue := func(now sim.Cycle) {
 		for i := 0; i < 64; i++ {
-			h.s.Access(now, Access{Addr: next, PC: 0x40}, onDone)
+			h.s.Access(now, &Access{Addr: next, PC: 0x40}, onDone)
 			next += 64
 		}
 	}

@@ -32,7 +32,7 @@ func (h *harness) access(at sim.Cycle, a Access) *sim.Cycle {
 	done := new(sim.Cycle)
 	h.q.Schedule(at, func(now sim.Cycle) {
 		onDone := func(t sim.Cycle) { *done = t }
-		if t, hit := h.s.Access(now, a, onDone); hit {
+		if t, hit := h.s.Access(now, &a, onDone); hit {
 			h.q.Schedule(t, onDone)
 		}
 	})
@@ -272,7 +272,7 @@ func TestAccessBadCorePanics(t *testing.T) {
 			t.Fatal("bad core did not panic")
 		}
 	}()
-	h.s.Access(0, Access{Core: 5, Addr: 0}, func(sim.Cycle) {})
+	h.s.Access(0, &Access{Core: 5, Addr: 0}, func(sim.Cycle) {})
 }
 
 func TestCacheAndMemStatsExposed(t *testing.T) {

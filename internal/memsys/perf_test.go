@@ -26,8 +26,8 @@ func BenchmarkAccessMissBurst(b *testing.B) {
 	issue := func(now sim.Cycle) {
 		for i := 0; i < 16; i++ {
 			a := Access{Addr: (next + addrmap.Addr(i*64)) % wrap, PC: 0x40}
-			s.Access(now, a, onDone)
-			s.Access(now, a, onDone)
+			s.Access(now, &a, onDone)
+			s.Access(now, &a, onDone)
 		}
 		next += 16 * 64
 	}

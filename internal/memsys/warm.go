@@ -14,14 +14,14 @@ import "gsdram/internal/cache"
 // each fast-forward segment under Uncounted.
 //
 // It is not inlined, so its caller's Access arrives in registers and
-// access reads it where WarmAccess spilled it. Inlined, the struct is
+// Access reads it where WarmAccess spilled it. Inlined, the struct is
 // built in one stack slot and block-copied to another, and the copy
-// stalls on store forwarding (see access).
+// stalls on store forwarding (see Access).
 //
 //go:noinline
 func (s *System) WarmAccess(a Access) {
 	s.warm = true
-	s.access(s.q.Now(), &a, nil)
+	s.Access(s.q.Now(), &a, nil)
 	s.warm = false
 }
 
